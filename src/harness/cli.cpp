@@ -255,8 +255,8 @@ void common_flags::add_to(flag_parser& p) {
                "(the only monitor that may watch a timed run)",
                &streaming);
     p.add_unsigned("stream-window",
-                   "streaming checker: events of context kept behind the "
-                   "frontier",
+                   "streaming checker: events certified operations stay "
+                   "retained behind the frontier (memory only)",
                    &stream_window);
     p.add_unsigned("stream-stride",
                    "streaming checker: events between incremental checks",

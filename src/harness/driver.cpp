@@ -755,6 +755,7 @@ run_result run(const run_spec& spec) {
         so.ops_retired = ss.ops_retired;
         so.checkpoints = ss.checkpoints;
         so.retained_peak = ss.peak_retained_ops;
+        so.uncertified_peak = ss.uncertified_peak;
         for (const auto& r : rings) so.producer_stalls += r->stalls();
         if (stream_chk.violation_found()) {
             so.violation = true;

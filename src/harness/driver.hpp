@@ -187,6 +187,9 @@ struct stream_outcome {
     std::uint64_t ops_retired{0};
     std::uint64_t checkpoints{0};
     std::uint64_t retained_peak{0};   ///< bounded-memory witness
+    /// Most uncertified ops judged at one checkpoint (<= retained_peak):
+    /// what a checkpoint costs.
+    std::uint64_t uncertified_peak{0};
     std::uint64_t producer_stalls{0}; ///< ring backpressure events
     bool violation{false};
     std::uint64_t detection_pos{0};

@@ -350,6 +350,7 @@ void report_writer::add_run(const run_spec& spec, const run_result& result,
         w_.field("ops_retired", so.ops_retired);
         w_.field("checkpoints", so.checkpoints);
         w_.field("retained_peak", so.retained_peak);
+        w_.field("uncertified_peak", so.uncertified_peak);
         w_.field("producer_stalls", so.producer_stalls);
         w_.field("violation", so.violation);
         if (so.violation) {

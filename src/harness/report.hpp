@@ -34,8 +34,8 @@
 //                      agreement, lockset: { pass, warnings, divergences,
 //                      diagnosis, divergence } },
 //        "stream":   { events, ops_completed, ops_retired, checkpoints,
-//                      retained_peak, producer_stalls, violation,
-//                      detection_pos, latency_ops, diagnosis },
+//                      retained_peak, uncertified_peak, producer_stalls,
+//                      violation, detection_pos, latency_ops, diagnosis },
 //        "net":      { servers, quorum, messages_sent, messages_delivered,
 //                      messages_lost, messages_duplicated,
 //                      messages_delayed, retransmissions, server_crashes,

@@ -1,8 +1,10 @@
 #include "linearizability/fast_register.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
+#include <numeric>
 #include <queue>
+#include <utility>
 
 #include "linearizability/normalize.hpp"
 #include "linearizability/spec.hpp"
@@ -13,6 +15,7 @@ namespace {
 // Per-processor operation timeline. A processor is sequential, so both
 // invocation and response positions are strictly increasing down each list.
 struct processor_ops {
+    processor_id proc{0};
     std::vector<std::size_t> writes;           // all writes, in program order
     std::vector<std::size_t> complete_writes;  // responded only (resp monotone)
     std::vector<std::size_t> complete_reads;   // responded only
@@ -22,52 +25,72 @@ struct processor_ops {
 
 fast_check_result check_fast(const std::vector<operation>& raw, value_t initial) {
     fast_check_result out;
-    normalized_history norm = normalize_history(raw, initial, true);
+    const normalized_view norm = normalize_view(raw, initial);
     if (!norm.ok()) {
         out.defect = norm.defect;
         return out;
     }
-    const std::vector<operation>& ops = norm.ops;
+    const std::vector<const operation*>& ops = norm.ops;
+    const std::size_t n = ops.size();
 
     // --- node numbering: 0 = virtual initial write, 1.. = real writes ---
-    std::vector<std::size_t> write_ops;          // node-1 -> op index
-    std::map<value_t, std::size_t> node_of_value;  // value -> node
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        if (ops[i].kind == op_kind::write) {
-            node_of_value[ops[i].value] = write_ops.size() + 1;
+    // node[i] is op i's own node for a write and its dictating write's
+    // node for a read; values map to nodes through one sorted array.
+    std::vector<std::size_t> write_ops;  // node-1 -> op index
+    std::vector<std::pair<value_t, std::size_t>> node_of_value;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (ops[i]->kind == op_kind::write) {
+            node_of_value.emplace_back(ops[i]->value, write_ops.size() + 1);
             write_ops.push_back(i);
         }
     }
+    std::sort(node_of_value.begin(), node_of_value.end());
     const std::size_t num_nodes = write_ops.size() + 1;
 
-    auto dict_node = [&](const operation& r) -> std::size_t {
-        if (r.value == initial) return 0;
-        return node_of_value.at(r.value);  // normalize guarantees presence
-    };
+    std::vector<std::size_t> node(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const operation& op = *ops[i];
+        if (op.kind == op_kind::read && op.value == initial) {
+            node[i] = 0;
+            continue;
+        }
+        // normalize guarantees every read value names a kept write
+        node[i] = std::lower_bound(node_of_value.begin(), node_of_value.end(),
+                                   std::pair{op.value, std::size_t{0}})
+                      ->second;
+    }
 
     // --- local condition: no read from the future ---
-    for (const operation& op : ops) {
+    for (std::size_t i = 0; i < n; ++i) {
+        const operation& op = *ops[i];
         if (op.kind != op_kind::read) continue;
-        const std::size_t d = dict_node(op);
-        if (d != 0 && op.responded < ops[write_ops[d - 1]].invoked) {
+        const std::size_t d = node[i];
+        if (d != 0 && op.responded < ops[write_ops[d - 1]]->invoked) {
             out.diagnosis = "read returned a value written only after it finished";
             return out;
         }
     }
 
-    // --- group per processor ---
-    std::map<processor_id, processor_ops> per_proc;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        auto& po = per_proc[ops[i].id.processor];
-        if (ops[i].kind == op_kind::write) po.writes.push_back(i);
-        if (ops[i].complete()) {
-            (ops[i].kind == op_kind::write ? po.complete_writes
-                                           : po.complete_reads).push_back(i);
+    // --- group per processor (a handful: a linear scan finds each) ---
+    std::vector<processor_ops> per_proc;
+    for (std::size_t i = 0; i < n; ++i) {
+        const operation& op = *ops[i];
+        auto it = std::find_if(
+            per_proc.begin(), per_proc.end(),
+            [&](const processor_ops& po) { return po.proc == op.id.processor; });
+        if (it == per_proc.end()) {
+            it = per_proc.insert(per_proc.end(), processor_ops{});
+            it->proc = op.id.processor;
+        }
+        if (op.kind == op_kind::write) it->writes.push_back(i);
+        if (op.complete()) {
+            (op.kind == op_kind::write ? it->complete_writes
+                                       : it->complete_reads).push_back(i);
         }
     }
-    for (auto& [proc, po] : per_proc) {
+    for (processor_ops& po : per_proc) {
         auto by_inv = [&](std::size_t a, std::size_t b) {
-            return ops[a].invoked < ops[b].invoked;
+            return ops[a]->invoked < ops[b]->invoked;
         };
         std::sort(po.writes.begin(), po.writes.end(), by_inv);
         std::sort(po.complete_writes.begin(), po.complete_writes.end(), by_inv);
@@ -81,7 +104,7 @@ fast_check_result check_fast(const std::vector<operation>& raw, value_t initial)
                                  event_pos x) -> std::optional<std::size_t> {
         auto it = std::partition_point(
             po.complete_writes.begin(), po.complete_writes.end(),
-            [&](std::size_t w) { return ops[w].responded < x; });
+            [&](std::size_t w) { return ops[w]->responded < x; });
         if (it == po.complete_writes.begin()) return std::nullopt;
         return *(it - 1);
     };
@@ -90,7 +113,7 @@ fast_check_result check_fast(const std::vector<operation>& raw, value_t initial)
                                  event_pos x) -> std::optional<std::size_t> {
         auto it = std::partition_point(
             po.writes.begin(), po.writes.end(),
-            [&](std::size_t w) { return ops[w].invoked <= x; });
+            [&](std::size_t w) { return ops[w]->invoked <= x; });
         if (it == po.writes.end()) return std::nullopt;
         return *it;
     };
@@ -98,46 +121,58 @@ fast_check_result check_fast(const std::vector<operation>& raw, value_t initial)
                                 event_pos x) -> std::optional<std::size_t> {
         auto it = std::partition_point(
             po.complete_reads.begin(), po.complete_reads.end(),
-            [&](std::size_t r) { return ops[r].responded < x; });
+            [&](std::size_t r) { return ops[r]->responded < x; });
         if (it == po.complete_reads.begin()) return std::nullopt;
         return *(it - 1);
     };
 
-    // --- build the constraint graph ---
-    std::vector<std::vector<std::size_t>> adj(num_nodes);
-    std::vector<std::size_t> indegree(num_nodes, 0);
+    // --- build the constraint graph: an edge list, then compressed rows ---
+    // (node ids fit 32 bits: a history holds far fewer than 2^32 writes)
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    edges.reserve(num_nodes + n * per_proc.size());
     auto add_edge = [&](std::size_t from, std::size_t to) {
-        if (from == to) return;
-        adj[from].push_back(to);
-        ++indegree[to];
+        if (from != to) {
+            edges.emplace_back(static_cast<std::uint32_t>(from),
+                               static_cast<std::uint32_t>(to));
+        }
     };
-    for (std::size_t n = 1; n < num_nodes; ++n) add_edge(0, n);  // initial first
+    for (std::size_t m = 1; m < num_nodes; ++m) add_edge(0, m);  // initial first
 
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        const operation& op = ops[i];
+    for (std::size_t i = 0; i < n; ++i) {
+        const operation& op = *ops[i];
+        const std::size_t d = node[i];
         if (op.kind == op_kind::write) {
-            const std::size_t wn = node_of_value.at(op.value);
-            for (const auto& [proc, po] : per_proc) {
+            for (const processor_ops& po : per_proc) {
                 if (auto w1 = last_write_before(po, op.invoked)) {  // (a)
-                    add_edge(node_of_value.at(ops[*w1].value), wn);
+                    add_edge(node[*w1], d);
                 }
             }
         } else {
-            const std::size_t d = dict_node(op);
-            for (const auto& [proc, po] : per_proc) {
+            for (const processor_ops& po : per_proc) {
                 if (auto wb = last_write_before(po, op.invoked)) {  // (b)
-                    const std::size_t wbn = node_of_value.at(ops[*wb].value);
-                    if (wbn != d) add_edge(wbn, d);
+                    add_edge(node[*wb], d);
                 }
                 if (auto wc = first_write_after(po, op.responded)) {  // (c)
-                    add_edge(d, node_of_value.at(ops[*wc].value));
+                    add_edge(d, node[*wc]);
                 }
                 if (auto rb = last_read_before(po, op.invoked)) {  // (d)
-                    const std::size_t rbn = dict_node(ops[*rb]);
-                    if (rbn != d) add_edge(rbn, d);
+                    add_edge(node[*rb], d);
                 }
             }
         }
+    }
+    // The successors of node m are succ[first[m] .. first[m + 1]).
+    std::vector<std::size_t> first(num_nodes + 1, 0);
+    std::vector<std::size_t> indegree(num_nodes, 0);
+    for (const auto& [from, to] : edges) {
+        ++first[from + 1];
+        ++indegree[to];
+    }
+    std::partial_sum(first.begin(), first.end(), first.begin());
+    std::vector<std::uint32_t> succ(edges.size());
+    {
+        std::vector<std::size_t> next(first.begin(), first.end() - 1);
+        for (const auto& [from, to] : edges) succ[next[from]++] = to;
     }
 
     // --- topological sort (Kahn) ---
@@ -145,15 +180,15 @@ fast_check_result check_fast(const std::vector<operation>& raw, value_t initial)
     topo.reserve(num_nodes);
     std::priority_queue<std::size_t, std::vector<std::size_t>,
                         std::greater<>> ready;
-    for (std::size_t n = 0; n < num_nodes; ++n) {
-        if (indegree[n] == 0) ready.push(n);
+    for (std::size_t m = 0; m < num_nodes; ++m) {
+        if (indegree[m] == 0) ready.push(m);
     }
     while (!ready.empty()) {
-        const std::size_t n = ready.top();
+        const std::size_t m = ready.top();
         ready.pop();
-        topo.push_back(n);
-        for (std::size_t m : adj[n]) {
-            if (--indegree[m] == 0) ready.push(m);
+        topo.push_back(m);
+        for (std::size_t k = first[m]; k < first[m + 1]; ++k) {
+            if (--indegree[succ[k]] == 0) ready.push(succ[k]);
         }
     }
     if (topo.size() != num_nodes) {
@@ -163,20 +198,23 @@ fast_check_result check_fast(const std::vector<operation>& raw, value_t initial)
     }
 
     // --- construct the witness linearization ---
-    std::vector<std::vector<std::size_t>> reads_of(num_nodes);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        if (ops[i].kind == op_kind::read) reads_of[dict_node(ops[i])].push_back(i);
+    // Each node's write, then the reads it dictates in invocation order.
+    std::vector<std::size_t> rank(num_nodes);
+    for (std::size_t p = 0; p < num_nodes; ++p) rank[topo[p]] = p;
+    std::vector<std::size_t> reads;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (ops[i]->kind == op_kind::read) reads.push_back(i);
     }
-    for (auto& rs : reads_of) {
-        std::sort(rs.begin(), rs.end(), [&](std::size_t a, std::size_t b) {
-            return ops[a].invoked < ops[b].invoked;
-        });
-    }
+    std::sort(reads.begin(), reads.end(), [&](std::size_t a, std::size_t b) {
+        return std::pair{rank[node[a]], ops[a]->invoked} <
+               std::pair{rank[node[b]], ops[b]->invoked};
+    });
     std::vector<const operation*> seq;
-    seq.reserve(ops.size());
-    for (std::size_t n : topo) {
-        if (n != 0) seq.push_back(&ops[write_ops[n - 1]]);
-        for (std::size_t r : reads_of[n]) seq.push_back(&ops[r]);
+    seq.reserve(n);
+    auto r = reads.begin();
+    for (std::size_t m : topo) {
+        if (m != 0) seq.push_back(ops[write_ops[m - 1]]);
+        for (; r != reads.end() && node[*r] == m; ++r) seq.push_back(ops[*r]);
     }
 
     // --- re-verify the witness (guards against any gap in the theory) ---

@@ -36,4 +36,16 @@ struct normalized_history {
     const std::vector<operation>& raw, value_t initial,
     bool require_unique_writes = true);
 
+/// normalize_history without the copies: `ops` points into `raw`.
+struct normalized_view {
+    std::vector<const operation*> ops;  ///< in raw order
+    std::optional<std::string> defect;
+
+    [[nodiscard]] bool ok() const noexcept { return !defect.has_value(); }
+};
+
+[[nodiscard]] normalized_view normalize_view(
+    const std::vector<operation>& raw, value_t initial,
+    bool require_unique_writes = true);
+
 }  // namespace bloom87

@@ -1,6 +1,7 @@
 #include "linearizability/streaming.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "linearizability/fast_register.hpp"
@@ -43,8 +44,7 @@ void streaming_checker::ingest(const event& e) {
     if (violation_) return;
     if (++since_check_ >= cfg_.stride) {
         since_check_ = 0;
-        run_check();
-        if (!violation_) maybe_retire();
+        checkpoint();
     }
 }
 
@@ -97,20 +97,26 @@ void streaming_checker::on_response(const event& e) {
     open_.erase(it);
     op.responded = stats_.events - 1;
     if (op.kind == op_kind::read) op.value = e.value;
-    retained_.push_back(std::move(op));
+    uncertified_.push_back(std::move(op));
     ++stats_.ops_completed;
-    stats_.retained_ops = retained_.size();
-    if (retained_.size() > stats_.peak_retained_ops) {
-        stats_.peak_retained_ops = retained_.size();
-    }
+    stats_.retained_ops = certified_.size() + uncertified_.size();
+    stats_.peak_retained_ops =
+        std::max(stats_.peak_retained_ops, stats_.retained_ops);
+}
+
+void streaming_checker::checkpoint() {
+    run_check();
+    if (!violation_) advance_cut();
 }
 
 void streaming_checker::run_check() {
     ++stats_.checkpoints;
-    if (retained_.empty() && open_.empty() && pending_.empty()) return;
+    stats_.uncertified_peak =
+        std::max(stats_.uncertified_peak, uncertified_.size());
+    if (uncertified_.empty() && open_.empty() && pending_.empty()) return;
     std::vector<operation> ops;
-    ops.reserve(retained_.size() + open_.size() + pending_.size());
-    ops.insert(ops.end(), retained_.begin(), retained_.end());
+    ops.reserve(uncertified_.size() + open_.size() + pending_.size());
+    ops.insert(ops.end(), uncertified_.begin(), uncertified_.end());
     ops.insert(ops.end(), pending_.begin(), pending_.end());
     for (const open_op& o : open_) ops.push_back(o.op);
 
@@ -133,9 +139,9 @@ void streaming_checker::run_check() {
          std::to_string(candidates_.size()) + "): " + first_failure);
 }
 
-void streaming_checker::maybe_retire() {
+void streaming_checker::advance_cut() {
     // Declare overdue open operations crashed so an eternally-pending op
-    // (a crashed port) cannot pin the window forever.
+    // (a crashed port) cannot pin the cut forever.
     for (std::size_t i = 0; i < open_.size();) {
         const operation& op = open_[i].op;
         if (op.invoked + cfg_.pending_grace < stats_.events) {
@@ -151,45 +157,52 @@ void streaming_checker::maybe_retire() {
         }
     }
     stats_.pending_carried = pending_.size();
-    if (retained_.empty()) return;
 
-    // The cut must not split any live operation, and keeps `window` events
-    // of context behind the frontier.
-    std::uint64_t upper =
-        stats_.events > cfg_.window ? stats_.events - cfg_.window : 0;
+    // The cut must not split any live operation. uncertified_ is sorted by
+    // responded: certify the longest prefix [0, k) whose last response
+    // lands before every open invocation and before every later
+    // uncertified invocation -- a quiescent cut in stream position space.
+    std::uint64_t upper = no_event;
     for (const open_op& o : open_) {
         upper = std::min(upper, static_cast<std::uint64_t>(o.op.invoked));
     }
-
-    // retained_ is sorted by responded. Retire the longest prefix [0, k)
-    // whose last response lands before `upper` and before every later
-    // retained invocation -- a quiescent cut in stream position space.
-    const std::size_t n = retained_.size();
-    std::vector<std::uint64_t> suffix_min_inv(n + 1, no_event);
-    for (std::size_t i = n; i > 0; --i) {
-        suffix_min_inv[i - 1] =
-            std::min(suffix_min_inv[i],
-                     static_cast<std::uint64_t>(retained_[i - 1].invoked));
-    }
-    std::size_t best = 0;
-    for (std::size_t k = n; k > 0; --k) {
-        const std::uint64_t resp = retained_[k - 1].responded;
-        if (resp >= upper) continue;
-        if (suffix_min_inv[k] > resp) {
-            best = k;
+    std::uint64_t later_min_inv = no_event;  // over uncertified_[k, n)
+    for (std::size_t k = uncertified_.size(); k > 0; --k) {
+        const operation& last = uncertified_[k - 1];
+        if (last.responded < upper && later_min_inv > last.responded) {
+            certify(k);
             break;
         }
+        later_min_inv = std::min(later_min_inv,
+                                 static_cast<std::uint64_t>(last.invoked));
     }
-    if (best > 0) retire_prefix(best);
+    if (violation_) return;
+
+    // Certified ops are released once `window` events behind the frontier.
+    if (stats_.events > cfg_.window) {
+        const std::uint64_t horizon = stats_.events - cfg_.window;
+        std::size_t released = 0;
+        while (!certified_.empty() &&
+               certified_.front().responded < horizon) {
+            certified_.pop_front();
+            ++released;
+        }
+        if (released > 0) {
+            stats_.ops_retired += released;
+            ++stats_.retire_batches;
+        }
+    }
+    stats_.retained_ops = certified_.size() + uncertified_.size();
 }
 
-void streaming_checker::retire_prefix(std::size_t k) {
-    std::vector<operation> batch(
-        retained_.begin(), retained_.begin() + static_cast<std::ptrdiff_t>(k));
-    retained_.erase(retained_.begin(),
-                    retained_.begin() + static_cast<std::ptrdiff_t>(k));
+void streaming_checker::certify(std::size_t k) {
+    const auto batch_end =
+        uncertified_.begin() + static_cast<std::ptrdiff_t>(k);
+    std::vector<operation> batch(std::make_move_iterator(uncertified_.begin()),
+                                 std::make_move_iterator(batch_end));
+    uncertified_.erase(uncertified_.begin(), batch_end);
 
-    // A retiring read that observed a carried pending (crashed) write
+    // A certified read that observed a carried pending (crashed) write
     // decides that write: materialize it into the batch.
     for (std::size_t r = 0; r < k; ++r) {
         if (batch[r].kind != op_kind::read) continue;
@@ -208,7 +221,7 @@ void streaming_checker::retire_prefix(std::size_t k) {
     // value u -- probed by appending a virtual read of u after the batch.
     //
     // The universe of possible u is pruned before probing (this is what
-    // keeps retirement O(batch), not O(batch^2)): writes are totally
+    // keeps certification O(batch), not O(batch^2)): writes are totally
     // ordered among themselves, so a write real-time-followed by another
     // write (some write invoked after its response) can never linearize
     // last -- only the real-time-maximal writes are eligible, and there
@@ -245,30 +258,31 @@ void streaming_checker::retire_prefix(std::size_t k) {
         vread.value = u;
         vread.invoked = stats_.events;
         vread.responded = stats_.events + 1;
-        std::vector<operation> probe = batch;
-        probe.push_back(vread);
+        batch.push_back(vread);
         for (const value_t v : candidates_) {
-            const fast_check_result res = check_fast(probe, v);
+            const fast_check_result res = check_fast(batch, v);
             if (res.ok() && res.linearizable) {
                 next.push_back(u);
                 break;
             }
         }
+        batch.pop_back();
     }
     if (next.empty()) {
-        // Unreachable when the pre-retirement check passed (its witness
-        // restricted to the batch ends with SOME value); kept as a loud
-        // guard rather than a silent soundness hole.
+        // Unreachable when the checkpoint passed (its witness restricted
+        // to the batch ends with SOME value); kept as a loud guard rather
+        // than a silent soundness hole.
         flag("internal error: no candidate current value survived "
-             "retirement");
+             "certification");
         return;
     }
     candidates_ = std::move(next);
     last_pass_ = 0;
 
-    stats_.ops_retired += k;
-    ++stats_.retire_batches;
-    stats_.retained_ops = retained_.size();
+    certified_.insert(certified_.end(),
+                      std::make_move_iterator(batch.begin()),
+                      std::make_move_iterator(
+                          batch.begin() + static_cast<std::ptrdiff_t>(k)));
     stats_.candidate_values = candidates_.size();
     stats_.pending_carried = pending_.size();
 }
@@ -276,8 +290,7 @@ void streaming_checker::retire_prefix(std::size_t k) {
 bool streaming_checker::check_now() {
     if (violation_) return true;
     since_check_ = 0;
-    run_check();
-    if (!violation_) maybe_retire();
+    checkpoint();
     return violation_;
 }
 

@@ -269,6 +269,80 @@ TEST(StreamingChecker, WindowBoundsRetainedOperations) {
     EXPECT_GT(res.stream.ops_retired, res.stream.ops_completed / 2);
 }
 
+// Replays a recorded run through a fresh streaming checker, stride 16.
+struct replay_outcome {
+    bool violation{false};
+    std::uint64_t detection_pos{0};
+};
+[[nodiscard]] replay_outcome replay(const std::vector<event>& events,
+                                    value_t initial, std::size_t window) {
+    streaming_config cfg;
+    cfg.window = window;
+    cfg.stride = 16;
+    streaming_checker chk(initial, cfg);
+    for (const event& e : events) chk.ingest(e);
+    replay_outcome out;
+    out.violation = chk.finish();
+    out.detection_pos = chk.detection_pos();
+    return out;
+}
+
+// Equivalence contract of the certified cut: over seeded faulty runs of
+// every fault class, the streaming verdict equals the batch fast checker's,
+// and the detection position does not depend on the window -- the window
+// bounds retained memory only, never what a checkpoint decides.
+TEST(StreamingChecker, VerdictAndDetectionIndependentOfWindow) {
+    std::size_t violations = 0;
+    for (const std::string reg : {"faulty/seqlock", "faulty/fourslot"}) {
+        for (fault_class cls :
+             {fault_class::none, fault_class::stale_read,
+              fault_class::lost_write, fault_class::torn_value,
+              fault_class::delayed_visibility, fault_class::port_crash}) {
+            for (std::uint64_t rate_den : {8ULL, 64ULL}) {
+                for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+                    run_spec spec;
+                    spec.register_name = reg;
+                    spec.load.writers = 2;
+                    spec.load.readers = 2;
+                    spec.load.ops_per_writer = 300;
+                    spec.load.ops_per_reader = 300;
+                    spec.seed = seed;
+                    spec.collect = collect_mode::gamma;
+                    spec.schedule = schedule_mode::seeded;
+                    spec.fault.cls = cls;
+                    spec.fault.rate_num = 1;
+                    spec.fault.rate_den = rate_den;
+                    spec.fault.seed = seed;
+                    const run_result res = run(spec);
+                    const std::string cell =
+                        reg + " " + fault_class_name(cls) + " 1/" +
+                        std::to_string(rate_den) + " seed " +
+                        std::to_string(seed);
+                    ASSERT_TRUE(res.ok) << cell << ": " << res.error;
+                    const pipeline_result batch = run_checkers(
+                        res.events, spec.initial, {checker_kind::fast});
+                    ASSERT_TRUE(batch.parsed) << cell;
+
+                    const replay_outcome base =
+                        replay(res.events, spec.initial, 2);
+                    EXPECT_EQ(base.violation, !batch.verdicts[0].pass)
+                        << cell << ": streaming and batch verdicts disagree";
+                    for (std::size_t window : {64, 4096}) {
+                        const replay_outcome o =
+                            replay(res.events, spec.initial, window);
+                        EXPECT_EQ(o.violation, base.violation)
+                            << cell << " window " << window;
+                        EXPECT_EQ(o.detection_pos, base.detection_pos)
+                            << cell << " window " << window;
+                    }
+                    if (base.violation) ++violations;
+                }
+            }
+        }
+    }
+    EXPECT_GT(violations, 0u) << "matrix never exercised detection";
+}
+
 // ----------------------------------- quiescent cut + candidate set corners --
 
 // Two writes that overlap can linearize in either order, so after they
@@ -349,6 +423,27 @@ TEST(StreamingChecker, PendingWriteDecidedByLaterRead) {
         for (op_index i = 0; i < 6; ++i) read_of(chk, 2, i, 7);
         EXPECT_FALSE(chk.finish()) << chk.diagnosis();
     }
+}
+
+// An open write pins the certified cut at its invocation: reads that
+// complete while it is open stay uncertified, so the write's value may
+// still appear (the write is live), and once it has been read the initial
+// value is dead. A cut past the invocation would lose exactly that order.
+TEST(StreamingChecker, OpenWritePinsTheCertifiedCut) {
+    streaming_config cfg = tiny_window();
+    cfg.pending_grace = 1000;  // the write stays open, never crashed
+    streaming_checker chk(7, cfg);
+    chk.ingest(inv_w(0, 0, 101));  // open for the whole stream
+    for (op_index i = 0; i < 6; ++i) read_of(chk, 2, i, 7);
+    for (op_index i = 6; i < 10; ++i) read_of(chk, 2, i, 101);
+    EXPECT_FALSE(chk.violation_found()) << chk.diagnosis();
+    EXPECT_GT(chk.stats().checkpoints, 10u);
+    EXPECT_EQ(chk.stats().pending_carried, 0u);
+    EXPECT_EQ(chk.stats().ops_retired, 0u)
+        << "an op behind the open write's invocation was certified";
+    EXPECT_EQ(chk.stats().uncertified_peak, 10u);
+    read_of(chk, 2, 10, 7);  // 7 was overwritten before the first 101 read
+    EXPECT_TRUE(chk.finish()) << "read of the overwritten initial value";
 }
 
 // A response arriving after its operation was declared crashed means the
