@@ -3,16 +3,17 @@
 // Drives every faulty/ composition through the harness under each substrate
 // fault class of registers/faulty.hpp, plus the two protocol-level
 // adversaries the harness already knew (a writer crashing mid-protocol, a
-// stalled/paced writer), with the online verifier watching the gamma log as
-// it grows. One verdict per cell:
+// stalled/paced writer), with the streaming checker watching the gamma log
+// as it grows. One verdict per cell:
 //
 //   tolerated  every checker passed and the monitor stayed silent. Expected
 //              for crash/stall classes: Bloom's construction is proven
 //              wait-free (paper, Section 4) and its Section 7 proof treats
 //              pending operations first-class, so crashes and stalls stay
 //              inside the fault model.
-//   detected   the online verifier flagged an atomicity violation, with the
-//              first-violation latency in completed operations. Expected
+//   detected   the streaming checker flagged an atomicity violation, with
+//              the latency in completed operations from the first injection
+//              to the end of the minimal violating prefix. Expected
 //              for the value-corrupting classes (stale_read, lost_write,
 //              torn_value, delayed_visibility): those break the substrate-
 //              atomicity assumption the proof rests on.
@@ -124,8 +125,8 @@ cell_outcome run_cell(const std::string& reg, const scenario& sc,
             spec.fault.seed = base_seed + attempt;
         }
         spec.fault.recover_after = sc.recover_after;
-        spec.online_monitor = true;
-        spec.monitor_stride = 32;
+        spec.streaming_monitor = true;
+        spec.stream_stride = 32;
 
         out.spec = spec;
         out.seeds_tried = attempt + 1;
@@ -137,11 +138,12 @@ cell_outcome run_cell(const std::string& reg, const scenario& sc,
         out.checks = harness::run_checkers(out.result.events, spec.initial,
                                            kinds, spec.register_name);
         const bool clean =
-            out.checks.all_pass() && !out.result.online.violation;
+            out.checks.all_pass() && !out.result.stream.violation;
         if (sc.may_detect) {
-            // Absorb-or-catch: one schedule decides. A violation the online
-            // verifier (or the post-hoc checkers) surfaced is `detected`; a
-            // clean run means the protocol voted the forgery out.
+            // Absorb-or-catch: one schedule decides. A violation the
+            // streaming checker (or the post-hoc checkers) surfaced is
+            // `detected`; a clean run means the protocol voted the forgery
+            // out.
             out.verdict = clean ? "tolerated" : "detected";
             out.acceptable = true;
             return out;
@@ -153,7 +155,7 @@ cell_outcome run_cell(const std::string& reg, const scenario& sc,
             out.acceptable = clean;
             return out;
         }
-        if (out.result.online.violation) {
+        if (out.result.stream.violation) {
             out.verdict = "detected";
             out.acceptable = true;
             return out;
@@ -354,14 +356,14 @@ int main(int argc, char** argv) {
                 for (std::uint64_t den : dens) {
                     cell_outcome cell = run_cell(reg, sc, den, flags.ops,
                                                  flags.seed, attempts);
-                    const auto& od = cell.result.online;
+                    const harness::stream_outcome& so = cell.result.stream;
                     const std::uint64_t injected =
                         cell.result.faults_injected.total() +
                         cell.result.crashes_injected;
                     t.row({reg, sc.label, rate_label(sc, den),
                            std::to_string(injected), cell.verdict,
-                           od.violation && od.injection_pos != no_event
-                               ? std::to_string(od.latency_ops)
+                           so.violation && so.injection_pos != no_event
+                               ? std::to_string(so.prefix_latency_ops)
                                : "-",
                            std::to_string(cell.seeds_tried)});
                     all_acceptable = all_acceptable && cell.acceptable;
@@ -384,7 +386,7 @@ int main(int argc, char** argv) {
               << "(the paper's fault model, Sections 4 and 7); every value-\n"
               << "corrupting row must read `detected`, with the latency\n"
               << "column showing how many operations the corruption hid\n"
-              << "behind before the online verifier caught it. On the\n"
+              << "behind before the streaming checker caught it. On the\n"
               << "net/ rows the fault model flips: message loss, delay,\n"
               << "and f server crashes are ABD's design envelope and must\n"
               << "stay `tolerated`; only forged server state (stale_read)\n"

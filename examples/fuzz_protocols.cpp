@@ -10,7 +10,7 @@
 // replayed through check_history.
 //
 // With --fault=<class> the fuzzer instead tortures the faulty/ compositions
-// under that substrate fault class with the online verifier attached:
+// under that substrate fault class with the streaming checker attached:
 // value-corrupting classes must produce detected violations (exit 1 if the
 // whole run stays silent), port_crash must stay clean on every round.
 //
@@ -122,7 +122,7 @@ bool run_round(const registry_entry& e, const run_spec& spec,
 }
 
 /// The --fault mode: every round runs each faulty/ composition under one
-/// substrate fault class, online verifier attached. Returns the exit code.
+/// substrate fault class, streaming checker attached. Returns the exit code.
 int fuzz_faulty(fault_class cls, std::uint64_t rounds,
                 std::uint64_t base_seed) {
     const std::vector<std::string> comps = {
@@ -149,8 +149,8 @@ int fuzz_faulty(fault_class cls, std::uint64_t rounds,
             spec.fault.rate_num = 1;
             spec.fault.rate_den = 64;
             spec.fault.seed = spec.seed;
-            spec.online_monitor = true;
-            spec.monitor_stride = 32;
+            spec.streaming_monitor = true;
+            spec.stream_stride = 32;
             ++runs;
 
             const run_result res = run(spec);
@@ -175,13 +175,13 @@ int fuzz_faulty(fault_class cls, std::uint64_t rounds,
             }
             injected_total += res.faults_injected.total();
             if (corrupts_values(cls)) {
-                if (res.online.violation) {
+                if (res.stream.violation) {
                     ++detections;
-                    // The offline pipeline must agree with the verifier --
+                    // The offline pipeline must agree with the monitor --
                     // they check the same prefix-closed property.
                     if (checks.all_pass()) {
                         std::fprintf(stderr,
-                                     "%s seed %llu: online verifier and "
+                                     "%s seed %llu: streaming checker and "
                                      "checker pipeline DISAGREE\n",
                                      comp.c_str(),
                                      static_cast<unsigned long long>(
@@ -192,7 +192,7 @@ int fuzz_faulty(fault_class cls, std::uint64_t rounds,
                 } else {
                     ++silent_rounds;
                 }
-            } else if (!checks.all_pass() || res.online.violation) {
+            } else if (!checks.all_pass() || res.stream.violation) {
                 // Crash-class faults stay inside the paper's fault model:
                 // any violation is a real bug.
                 std::fprintf(stderr,

@@ -112,7 +112,6 @@ struct common_flags {
     /// Timed runs: grace window before the driver's global op deadline
     /// trips (run_spec::grace_ms).
     unsigned grace_ms{1000};
-    bool online{false};  ///< run the online verifier during the run
 
     /// Streaming checker (bounded-memory, may watch timed runs) and the
     /// open-loop client multiplexer.

@@ -11,7 +11,6 @@
 #endif
 
 #include "histories/thread_log.hpp"
-#include "linearizability/monitor.hpp"
 #include "linearizability/streaming.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
@@ -307,17 +306,9 @@ run_result run(const run_spec& spec) {
                     " has no fault plan; --fault needs a faulty/, repair/ "
                     "or net/ register");
     }
-    if (spec.online_monitor && spec.collect != collect_mode::gamma) {
-        return fail("the online monitor polls the shared gamma log; run "
-                    "with collect=gamma");
-    }
     if (spec.streaming_monitor && spec.collect == collect_mode::none) {
         return fail("the streaming checker consumes recorded events; run "
                     "with collect=gamma or collect=per_thread");
-    }
-    if (spec.online_monitor && spec.streaming_monitor) {
-        return fail("pick one monitor: online (post-hoc prefix polling) or "
-                    "streaming (bounded-memory)");
     }
     if (spec.clients > 0 &&
         (!timed || spec.schedule != schedule_mode::threads)) {
@@ -399,25 +390,6 @@ run_result run(const run_spec& spec) {
     result.threads.resize(n_procs);
     std::vector<latency_histogram> hists(n_procs);
 
-    // The online watcher polls growing prefixes of the gamma log while the
-    // run appends to it. Reads-only, so even the seeded single-thread
-    // schedule stays byte-for-byte deterministic underneath it.
-    online_verifier verifier(log, spec.initial, spec.monitor_stride);
-    std::atomic<bool> run_done{false};
-    std::atomic<bool> caught_live{false};
-    std::thread watcher;
-    if (spec.online_monitor) {
-        watcher = std::thread([&] {
-            while (!run_done.load(std::memory_order_acquire)) {
-                if (verifier.poll()) {
-                    caught_live.store(true, std::memory_order_relaxed);
-                    return;
-                }
-                std::this_thread::sleep_for(std::chrono::microseconds(200));
-            }
-        });
-    }
-
     // The streaming checker rides alongside either collector. collect=gamma:
     // a tail thread chases the shared log one published event at a time.
     // collect=per_thread: the merge thread below feeds it the live seq-order
@@ -426,6 +398,7 @@ run_result run(const run_spec& spec) {
     scfg.window = spec.stream_window;
     scfg.stride = spec.stream_stride;
     streaming_checker stream_chk(spec.initial, scfg);
+    std::atomic<bool> run_done{false};
     std::thread stream_tail;
     if (spec.streaming_monitor && spec.collect == collect_mode::gamma) {
         stream_tail = std::thread([&] {
@@ -693,7 +666,6 @@ run_result run(const run_spec& spec) {
     if (merge_thread.joinable()) merge_thread.join();
     if (per_thread && !timed) drain_merge();
     run_done.store(true, std::memory_order_release);
-    if (watcher.joinable()) watcher.join();
     if (stream_tail.joinable()) stream_tail.join();
 
     for (const thread_result& tr : result.threads) {
@@ -719,33 +691,6 @@ run_result run(const run_spec& spec) {
     // policy drops (the port parks itself, so the op stays pending in the
     // history -- the standard crashed-port semantics).
     result.ops_dropped += result.net.unavailable_ops;
-    if (spec.online_monitor) {
-        verifier.finish();  // violations that landed after the last poll
-        online_detection& od = result.online;
-        od.ran = true;
-        od.injection_pos = result.faults_injected.first_injection;
-        if (verifier.violation_found()) {
-            od.violation = true;
-            od.caught_live = caught_live.load(std::memory_order_relaxed);
-            // Shrink to the minimal violating prefix; deterministic under
-            // the seeded schedule even though the live watcher's poll
-            // timing is not.
-            const std::optional<op_id> culprit = verifier.locate_culprit();
-            od.detection_prefix = verifier.detection_prefix();
-            od.diagnosis = verifier.diagnosis();
-            if (culprit.has_value()) {
-                od.culprit_known = true;
-                od.culprit = *culprit;
-            }
-            if (od.injection_pos != no_event) {
-                for (std::size_t i = od.injection_pos;
-                     i < od.detection_prefix && i < result.events.size();
-                     ++i) {
-                    if (is_response(result.events[i].kind)) ++od.latency_ops;
-                }
-            }
-        }
-    }
     if (spec.streaming_monitor) {
         stream_outcome& so = result.stream;
         so.ran = true;
@@ -761,15 +706,28 @@ run_result run(const run_spec& spec) {
             so.violation = true;
             so.detection_pos = stream_chk.detection_pos();
             so.diagnosis = stream_chk.diagnosis();
-            const event_pos inj = result.faults_injected.first_injection;
-            if (inj != no_event) {
-                // detection_pos and result.events index the same stream
-                // (the gamma log, or the retained seq merge), so completed
-                // ops between injection and detection are countable.
-                const std::size_t hi = std::min<std::size_t>(
-                    so.detection_pos, result.events.size());
-                for (std::size_t i = inj; i < hi; ++i) {
-                    if (is_response(result.events[i].kind)) ++so.latency_ops;
+            so.injection_pos = result.faults_injected.first_injection;
+            // detection positions and result.events index the same stream
+            // (the gamma log, or the retained seq merge), so completed ops
+            // between injection and detection are countable.
+            const auto ops_since_injection = [&](std::uint64_t pos) {
+                std::uint64_t n = 0;
+                const std::size_t hi =
+                    std::min<std::size_t>(pos, result.events.size());
+                for (std::size_t i = so.injection_pos; i < hi; ++i) {
+                    if (is_response(result.events[i].kind)) ++n;
+                }
+                return n;
+            };
+            if (so.injection_pos != no_event) {
+                so.latency_ops = ops_since_injection(so.detection_pos);
+            }
+            if (const std::optional<violating_prefix> min =
+                    locate_violation(result.events, spec.initial, scfg)) {
+                so.detection_prefix = min->length;
+                so.culprit = min->culprit;
+                if (so.injection_pos != no_event) {
+                    so.prefix_latency_ops = ops_since_injection(min->length);
                 }
             }
         }

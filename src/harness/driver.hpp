@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -114,17 +115,11 @@ struct run_spec {
     /// rejects an active spec on any other family).
     fault_spec fault{};
 
-    /// Run the online verifier concurrently with the run (collect must be
-    /// gamma) and fill run_result::online with what it caught.
-    bool online_monitor{false};
-    /// The verifier re-checks after every this-many new events.
-    unsigned monitor_stride{64};
-
     /// Run the bounded-memory STREAMING checker concurrently with the run
     /// and fill run_result::stream. collect=gamma tails the shared log;
-    /// collect=per_thread consumes the live ring merge. The only monitor
-    /// that may watch a TIMED run (with collect=per_thread: events are
-    /// checked and discarded, never retained).
+    /// collect=per_thread consumes the live ring merge. It may watch a
+    /// TIMED run too (with collect=per_thread: events are checked and
+    /// discarded, never retained).
     bool streaming_monitor{false};
     /// Streaming checker knobs: events of context kept behind the
     /// frontier, and events ingested between incremental checks.
@@ -176,10 +171,10 @@ struct latency_stats {
 };
 
 /// What the streaming checker saw during a monitored run
-/// (run_spec::streaming_monitor). `latency_ops` mirrors the online
-/// verifier's robustness metric: completed operations between the first
-/// injected fault and the stream position where the violation was
-/// flagged.
+/// (run_spec::streaming_monitor). `detection_pos` is where the live
+/// checker flagged, so it depends on the stride. When the run kept its
+/// events, the driver replays them (locate_violation) for the minimal
+/// violating prefix and its culprit, which do not.
 struct stream_outcome {
     bool ran{false};
     std::uint64_t events{0};          ///< gamma events ingested
@@ -193,32 +188,21 @@ struct stream_outcome {
     std::uint64_t producer_stalls{0}; ///< ring backpressure events
     bool violation{false};
     std::uint64_t detection_pos{0};
-    std::uint64_t latency_ops{0};
-    std::string diagnosis;
-};
-
-/// What the online verifier saw during a monitored run (run_spec::
-/// online_monitor). `latency_ops` is the robustness metric of
-/// bench_fault_matrix: completed operations between the first injected
-/// fault and the end of the minimal violating prefix -- how long a
-/// corrupted execution can masquerade as atomic.
-struct online_detection {
-    bool ran{false};
-    bool violation{false};
-    std::string diagnosis;
-    /// True when the watcher thread flagged the violation DURING the run
-    /// (else the post-run final check caught it).
-    bool caught_live{false};
-    /// Gamma position at the first injection (no_event: nothing injected).
+    /// Gamma position at the first injection (no_event: nothing injected,
+    /// or the fault plan had no shared log to stamp it against).
     event_pos injection_pos{no_event};
-    /// Events in the minimal violating prefix (0 when no violation).
-    std::uint64_t detection_prefix{0};
-    /// Completed ops between injection and detection; meaningful only when
-    /// a violation was found and an injection position is known.
+    /// Completed ops between injection and detection_pos; meaningful only
+    /// when a violation was found and injection_pos is known.
     std::uint64_t latency_ops{0};
+    /// Events in the minimal violating prefix (0: no violation, or the run
+    /// kept no events to replay).
+    std::uint64_t detection_prefix{0};
+    /// Completed ops between injection and the end of the minimal prefix:
+    /// how long a corrupted execution masqueraded as atomic.
+    std::uint64_t prefix_latency_ops{0};
     /// The operation whose event closes the minimal violating prefix.
-    bool culprit_known{false};
-    op_id culprit{};
+    std::optional<op_id> culprit;
+    std::string diagnosis;
 };
 
 /// Whole-run outcome. When `ok` is false nothing else is meaningful except
@@ -241,9 +225,8 @@ struct run_result {
     bool log_overflowed{false};
 
     /// Substrate fault injection counters (faulty/ registers; zero
-    /// elsewhere) and the monitors' findings.
+    /// elsewhere) and the streaming monitor's findings.
     fault_counts faults_injected{};
-    online_detection online{};
     stream_outcome stream{};
 
     /// Message-layer counters (net/ compositions; `ran` false elsewhere).

@@ -215,10 +215,9 @@ void report_writer::add_run(const run_spec& spec, const run_result& result,
         }
     }
 
-    // v2: substrate fault injection + online detection, on fault runs and
-    // monitored runs only (other runs keep their v1 shape exactly).
-    if (spec.fault.active() || result.faults_injected.total() > 0 ||
-        result.online.ran) {
+    // v2: substrate fault injection, on fault runs only (other runs keep
+    // their v1 shape exactly).
+    if (spec.fault.active() || result.faults_injected.total() > 0) {
         const fault_counts& fc = result.faults_injected;
         w_.key("faults").begin_object();
         w_.field("class", fault_class_name(spec.fault.cls));
@@ -253,24 +252,6 @@ void report_writer::add_run(const run_spec& spec, const run_result& result,
         w_.field("injected", fc.total());
         if (fc.first_injection != no_event) {
             w_.field("injection_pos", fc.first_injection);
-        }
-        if (result.online.ran) {
-            const online_detection& od = result.online;
-            w_.key("online").begin_object();
-            w_.field("violation", od.violation);
-            if (od.violation) {
-                w_.field("caught_live", od.caught_live);
-                w_.field("detection_prefix", od.detection_prefix);
-                w_.field("latency_ops", od.latency_ops);
-                if (od.culprit_known) {
-                    w_.field("culprit_processor",
-                             static_cast<int>(od.culprit.processor));
-                    w_.field("culprit_op",
-                             static_cast<std::uint64_t>(od.culprit.op));
-                }
-                w_.field("diagnosis", od.diagnosis);
-            }
-            w_.end_object();
         }
         w_.end_object();
     }
@@ -354,8 +335,19 @@ void report_writer::add_run(const run_spec& spec, const run_result& result,
         w_.field("producer_stalls", so.producer_stalls);
         w_.field("violation", so.violation);
         if (so.violation) {
+            const bool injected = so.injection_pos != no_event;
             w_.field("detection_pos", so.detection_pos);
-            w_.field("latency_ops", so.latency_ops);
+            if (injected) w_.field("latency_ops", so.latency_ops);
+            if (so.culprit.has_value()) {
+                w_.field("detection_prefix", so.detection_prefix);
+                if (injected) {
+                    w_.field("prefix_latency_ops", so.prefix_latency_ops);
+                }
+                w_.field("culprit_processor",
+                         static_cast<int>(so.culprit->processor));
+                w_.field("culprit_op",
+                         static_cast<std::uint64_t>(so.culprit->op));
+            }
             w_.field("diagnosis", so.diagnosis);
         }
         w_.end_object();

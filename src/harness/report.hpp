@@ -26,16 +26,16 @@
 //                      recover_after, crash_budget,
 //                      stale_reads, lost_writes, torn_values,
 //                      delayed_writes, port_crashes, injected,
-//                      injection_pos, online: { violation, caught_live,
-//                      detection_prefix, latency_ops, culprit_processor,
-//                      culprit_op, diagnosis } },
+//                      injection_pos },
 //        "analysis": { checker: "race", ran, skip_reason | pass, races,
 //                      accesses_checked, contract, diagnosis, millis,
 //                      agreement, lockset: { pass, warnings, divergences,
 //                      diagnosis, divergence } },
 //        "stream":   { events, ops_completed, ops_retired, checkpoints,
 //                      retained_peak, uncertified_peak, producer_stalls,
-//                      violation, detection_pos, latency_ops, diagnosis },
+//                      violation, detection_pos, latency_ops,
+//                      detection_prefix, prefix_latency_ops,
+//                      culprit_processor, culprit_op, diagnosis },
 //        "net":      { servers, quorum, messages_sent, messages_delivered,
 //                      messages_lost, messages_duplicated,
 //                      messages_delayed, retransmissions, server_crashes,
@@ -102,6 +102,17 @@
 // real accesses at reg 2+server, so `--check race` covers net/*
 // compositions. Existing v6 consumers need only accept the new schema
 // string and ignore the extra keys.
+//
+// Within v7 the streaming checker became the only run monitor, and
+// `faults.online` (always optional) is no longer emitted. Its record moved
+// to `stream`: on a violation, `detection_prefix` is the minimal violating
+// prefix, `culprit_processor`/`culprit_op` name the operation whose event
+// closes it (present when the run kept its events), and
+// `prefix_latency_ops` counts the completed ops from the first injection to
+// the end of that prefix. `latency_ops` and `prefix_latency_ops` appear
+// only when the injection position is known. `detection_pos` and
+// `latency_ops` stay where the live checker flagged, so they follow the
+// stride.
 #pragma once
 
 #include <functional>

@@ -88,21 +88,6 @@ public:
         return slots_[pos];
     }
 
-    /// Copies out the first `n` events (clamped to size()), spinning briefly
-    /// on any slot still mid-publish. Safe to call WHILE writers append --
-    /// the prefix is a legal gamma prefix because slot index is gamma
-    /// position -- which is what lets the online verifier poll a live run.
-    [[nodiscard]] std::vector<event> snapshot_prefix(std::size_t n) const {
-        n = std::min(n, size());
-        std::vector<event> out;
-        out.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            while (!ready_[i].value.load(std::memory_order_acquire)) {}
-            out.push_back(slots_[i]);
-        }
-        return out;
-    }
-
     /// Resets the log for reuse between test iterations. Not thread-safe.
     void clear() noexcept {
         const std::size_t n = size();

@@ -80,81 +80,4 @@ monitor_verdict atomicity_monitor::verify() const {
     return out;
 }
 
-bool online_verifier::check_prefix(const std::vector<event>& events,
-                                   std::size_t n,
-                                   std::string* diagnosis) const {
-    std::vector<event> prefix(events.begin(),
-                              events.begin() + static_cast<std::ptrdiff_t>(n));
-    const parse_result parsed = parse_history(prefix, initial_);
-    if (!parsed.ok()) {
-        *diagnosis = "malformed history: " + parsed.error->message;
-        return true;
-    }
-    const fast_check_result res = check_fast(parsed.hist.ops, initial_);
-    if (!res.ok()) {
-        *diagnosis = "checker defect: " + *res.defect;
-        return true;
-    }
-    if (!res.linearizable) {
-        *diagnosis = res.diagnosis;
-        return true;
-    }
-    return false;
-}
-
-bool online_verifier::poll() {
-    if (violation_) return true;
-    const std::size_t n = log_->size();
-    if (n < checked_ + stride_) return false;
-    const std::vector<event> events = log_->snapshot_prefix(n);
-    std::string diagnosis;
-    if (check_prefix(events, events.size(), &diagnosis)) {
-        violation_ = true;
-        detection_prefix_ = events.size();
-        diagnosis_ = std::move(diagnosis);
-    }
-    checked_ = events.size();
-    return violation_;
-}
-
-bool online_verifier::finish() {
-    if (violation_) return true;
-    const std::size_t n = log_->size();
-    if (n == checked_) return violation_;
-    const std::vector<event> events = log_->snapshot_prefix(n);
-    std::string diagnosis;
-    if (check_prefix(events, events.size(), &diagnosis)) {
-        violation_ = true;
-        detection_prefix_ = events.size();
-        diagnosis_ = std::move(diagnosis);
-    }
-    checked_ = events.size();
-    return violation_;
-}
-
-std::optional<op_id> online_verifier::locate_culprit() {
-    if (!violation_ || detection_prefix_ == 0) return std::nullopt;
-    const std::vector<event> events = log_->snapshot_prefix(detection_prefix_);
-    // Invariant: check(hi) is violating, check(lo) is not. The predicate is
-    // monotone (a violating prefix stays violating under extension), so the
-    // search lands on the smallest violating prefix.
-    std::size_t lo = 0;
-    std::size_t hi = events.size();
-    std::string hi_diagnosis = diagnosis_;
-    while (hi - lo > 1) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        std::string diagnosis;
-        if (check_prefix(events, mid, &diagnosis)) {
-            hi = mid;
-            hi_diagnosis = std::move(diagnosis);
-        } else {
-            lo = mid;
-        }
-    }
-    detection_prefix_ = hi;
-    diagnosis_ = std::move(hi_diagnosis);
-    const event& closer = events[hi - 1];
-    return op_id{closer.processor, closer.op};
-}
-
 }  // namespace bloom87

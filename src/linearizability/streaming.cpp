@@ -49,13 +49,18 @@ void streaming_checker::ingest(const event& e) {
 }
 
 void streaming_checker::on_invocation(const event& e) {
-    for (const open_op& o : open_) {
-        if (o.op.id.processor == e.processor) {
-            flag("malformed stream: processor " +
-                 std::to_string(e.processor) +
-                 " invoked an operation while one is open");
-            return;
-        }
+    const auto it =
+        std::find_if(open_.begin(), open_.end(), [&](const open_op& o) {
+            return o.op.id.processor == e.processor;
+        });
+    if (it != open_.end()) {
+        // A new invocation while an operation never responded: the
+        // processor crashed mid-operation and recovered, as parse_history
+        // reads it. The old operation stays pending for good -- a read
+        // constrains nothing, a write is carried like one declared crashed.
+        if (it->op.kind == op_kind::write) pending_.push_back(it->op);
+        open_.erase(it);
+        stats_.pending_carried = pending_.size();
     }
     open_op o;
     o.op.id = {e.processor, e.op};
@@ -298,6 +303,21 @@ bool streaming_checker::finish() {
     if (violation_) return true;
     run_check();
     return violation_;
+}
+
+std::optional<violating_prefix> locate_violation(
+    const std::vector<event>& events, value_t initial, streaming_config cfg) {
+    cfg.stride = 1;
+    cfg.pending_grace = events.size() + 1;
+    streaming_checker replay(initial, cfg);
+    for (const event& e : events) {
+        replay.ingest(e);
+        if (replay.violation_found()) break;
+    }
+    if (!replay.finish()) return std::nullopt;
+    const event& closer = events[replay.detection_pos() - 1];
+    return violating_prefix{replay.detection_pos(),
+                            op_id{closer.processor, closer.op}};
 }
 
 }  // namespace bloom87

@@ -1,11 +1,13 @@
 // bloom87: bounded-memory STREAMING linearizability checking.
 //
-// The post-hoc checkers (and PR 4's online_verifier) re-examine the whole
-// recorded prefix on every poll: O(n) memory and O(n^2/stride) total work,
-// which caps how long a run they can watch. This checker consumes the
-// gamma event stream once, judges each event at a checkpoint only until
-// a certified cut passes it, and still renders a verdict equivalent to
-// running check_fast over the entire history.
+// The post-hoc checkers need the whole recorded history: O(n) memory, and
+// re-checking every growing prefix of a live run costs O(n^2/stride) total
+// work, which caps how long a run they can watch. This checker consumes
+// the gamma event stream once, judges each event at a checkpoint only
+// until a certified cut passes it, and still renders a verdict equivalent
+// to running check_fast over the entire history. It is the harness's only
+// run monitor; locate_violation below replays a kept stream at stride 1
+// for the minimal violating prefix and its culprit.
 //
 // How certification stays sound AND complete:
 //
@@ -45,10 +47,14 @@
 //    pending write exactly when some read observed it), so "did that
 //    crashed write land?" stays undecided until a reader decides it --
 //    at which point the write is materialized into the certified batch.
-//    Carried pendings are bounded by the number of ports. If a declared-
-//    crashed operation responds after all (the grace was set shorter than
-//    a real stall), the checker reports it as a configuration violation
-//    rather than silently mis-judging.
+//    Carried pendings are bounded by the number of ports when ports
+//    crash-stop. A processor that invokes again while its operation is
+//    open crashed mid-operation and recovered (parse_history's reading):
+//    that operation is pending at once, so every such crashed write no
+//    read observed is carried. If a declared-crashed operation responds
+//    after all (the grace was set shorter than a real stall), the checker
+//    reports it as a configuration violation rather than silently
+//    mis-judging.
 //
 // Memory: `window` bounds retained memory only. Certified operations stay
 // retained until they are `window` events behind the frontier and are
@@ -64,6 +70,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -167,5 +174,20 @@ private:
     std::uint64_t detection_pos_{0};
     streaming_stats stats_{};
 };
+
+/// The shortest violating prefix of a recorded stream.
+struct violating_prefix {
+    std::uint64_t length{0};  ///< events in the prefix
+    op_id culprit{};          ///< the op whose event closes the prefix
+};
+
+/// Replays `events` through a checker with stride 1 that never declares an
+/// operation crashed, so it flags right after the first event at which the
+/// prefix stops being linearizable. Violations are prefix-closed, so that
+/// prefix is the minimal one and its last event names the culprit. `cfg`'s
+/// window is kept; nullopt when the whole stream is linearizable.
+[[nodiscard]] std::optional<violating_prefix> locate_violation(
+    const std::vector<event>& events, value_t initial,
+    streaming_config cfg = {});
 
 }  // namespace bloom87

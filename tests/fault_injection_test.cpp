@@ -1,16 +1,22 @@
 // The substrate fault-injection layer (registers/faulty.hpp) end to end:
 // the plan's trigger discipline, the adapter's per-class semantics, the
-// driver's faulty/ compositions, seeded reproducibility, online detection
-// of every value-corrupting class, port_crash staying atomic -- and the
-// Section 4 wait-freedom claim under a stalled writer (measure_stall).
+// driver's faulty/ compositions, seeded reproducibility, streaming
+// detection of every value-corrupting class with its minimal violating
+// prefix, port_crash staying atomic -- and the Section 4 wait-freedom
+// claim under a stalled writer (measure_stall).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/checkers.hpp"
 #include "harness/driver.hpp"
+#include "histories/history.hpp"
 #include "histories/serialize.hpp"
+#include "linearizability/fast_register.hpp"
+#include "linearizability/streaming.hpp"
 #include "registers/faulty.hpp"
 #include "registers/seqlock.hpp"
 
@@ -139,8 +145,8 @@ TEST(FaultyRegister, CrashedPortDropsEverything) {
     spec.fault.rate_num = 1;
     spec.fault.rate_den = 32;
     spec.fault.seed = seed;
-    spec.online_monitor = true;
-    spec.monitor_stride = 32;
+    spec.streaming_monitor = true;
+    spec.stream_stride = 32;
     return spec;
 }
 
@@ -167,7 +173,7 @@ TEST(FaultyDriver, SeededFaultRunsAreDeterministic) {
 }
 
 // Every value-corrupting class must (a) be injected, (b) be flagged by the
-// online verifier with a finite first-violation latency, and (c) fail the
+// streaming monitor with a finite first-violation latency, and (c) fail the
 // offline pipeline on the same history -- across all three compositions.
 TEST(FaultyDriver, CorruptingClassesAreDetectedOnline) {
     for (const std::string reg :
@@ -180,21 +186,83 @@ TEST(FaultyDriver, CorruptingClassesAreDetectedOnline) {
             ASSERT_TRUE(res.ok) << reg << ": " << res.error;
             EXPECT_GT(res.faults_injected.total(), 0u)
                 << reg << " " << fault_class_name(cls);
-            ASSERT_TRUE(res.online.ran);
-            EXPECT_TRUE(res.online.violation)
+            ASSERT_TRUE(res.stream.ran);
+            EXPECT_TRUE(res.stream.violation)
                 << reg << " " << fault_class_name(cls)
                 << ": corruption went unnoticed";
-            EXPECT_NE(res.online.injection_pos, no_event);
-            EXPECT_GT(res.online.detection_prefix, 0u);
+            EXPECT_NE(res.stream.injection_pos, no_event);
+            EXPECT_GT(res.stream.detection_prefix, 0u);
             const pipeline_result checks = run_checkers(
                 res.events, spec.initial,
                 {checker_kind::fast, checker_kind::monitor});
             ASSERT_TRUE(checks.parsed) << checks.parse_error;
             EXPECT_FALSE(checks.all_pass())
                 << reg << " " << fault_class_name(cls)
-                << ": offline pipeline disagrees with the online verdict";
+                << ": offline pipeline disagrees with the streaming verdict";
         }
     }
+}
+
+/// Brute-force oracle for the minimal violating prefix: the smallest n at
+/// which events[0, n) fails to parse or fails check_fast, and the op of
+/// event n-1.
+[[nodiscard]] std::optional<violating_prefix> brute_force_prefix(
+    const std::vector<event>& events, value_t initial) {
+    for (std::size_t n = 1; n <= events.size(); ++n) {
+        const parse_result parsed = parse_history(
+            std::vector<event>(events.begin(),
+                               events.begin() + static_cast<std::ptrdiff_t>(n)),
+            initial);
+        bool violating = !parsed.ok();
+        if (!violating) {
+            const fast_check_result res = check_fast(parsed.hist.ops, initial);
+            violating = !res.ok() || !res.linearizable;
+        }
+        if (violating) {
+            return violating_prefix{n, op_id{events[n - 1].processor,
+                                             events[n - 1].op}};
+        }
+    }
+    return std::nullopt;
+}
+
+// The streaming monitor's minimal violating prefix and culprit (a stride-1
+// replay of the retained events) equal the brute-force oracle on the
+// seeded fault corpus: every corrupting class on every shared-memory
+// composition, plus forged server state on the quorum register.
+TEST(FaultyDriver, MinimalPrefixAndCulpritMatchBruteForce) {
+    std::vector<std::pair<std::string, fault_class>> corpus;
+    for (const std::string reg :
+         {"faulty/seqlock", "faulty/fourslot", "faulty/recording"}) {
+        for (fault_class cls :
+             {fault_class::stale_read, fault_class::lost_write,
+              fault_class::torn_value, fault_class::delayed_visibility}) {
+            corpus.emplace_back(reg, cls);
+        }
+    }
+    corpus.emplace_back("net/abd-mw", fault_class::stale_read);
+    std::size_t violating = 0;
+    for (const auto& [reg, cls] : corpus) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            const std::string where = reg + " " + fault_class_name(cls) +
+                                      " seed " + std::to_string(seed);
+            const run_spec spec = faulty_spec(reg, cls, seed);
+            const run_result res = run(spec);
+            ASSERT_TRUE(res.ok) << where << ": " << res.error;
+            ASSERT_TRUE(res.stream.ran) << where;
+            const std::optional<violating_prefix> oracle =
+                brute_force_prefix(res.events, spec.initial);
+            EXPECT_EQ(res.stream.violation, oracle.has_value()) << where;
+            if (!oracle.has_value()) continue;
+            ++violating;
+            EXPECT_EQ(res.stream.detection_prefix, oracle->length) << where;
+            EXPECT_EQ(res.stream.culprit, std::optional(oracle->culprit))
+                << where;
+            EXPECT_GE(res.stream.detection_pos, res.stream.detection_prefix)
+                << where;
+        }
+    }
+    EXPECT_GT(violating, corpus.size()) << "corpus too clean to pin much";
 }
 
 // The per-class counters attribute injections to the right class.
@@ -220,7 +288,7 @@ TEST(FaultyDriver, PortCrashPreservesAtomicity) {
         const run_result res = run(spec);
         ASSERT_TRUE(res.ok) << reg << ": " << res.error;
         EXPECT_GT(res.faults_injected.port_crashes, 0u) << reg;
-        EXPECT_FALSE(res.online.violation) << reg << ": " << res.online.diagnosis;
+        EXPECT_FALSE(res.stream.violation) << reg << ": " << res.stream.diagnosis;
         const pipeline_result checks =
             run_checkers(res.events, spec.initial,
                          {checker_kind::fast, checker_kind::monitor});
@@ -234,13 +302,6 @@ TEST(FaultyDriver, ActiveFaultNeedsAFaultyRegister) {
     const run_result res = run(spec);
     EXPECT_FALSE(res.ok);
     EXPECT_NE(res.error.find("fault"), std::string::npos) << res.error;
-}
-
-TEST(FaultyDriver, OnlineMonitorNeedsGammaCollection) {
-    run_spec spec = faulty_spec("faulty/seqlock", fault_class::stale_read, 1);
-    spec.collect = collect_mode::per_thread;
-    const run_result res = run(spec);
-    EXPECT_FALSE(res.ok);
 }
 
 // The Section 4 wait-freedom claim, as a pinned assertion rather than a

@@ -1,5 +1,6 @@
 // Tests for the runtime atomicity monitor: correct registers pass, broken
-// ones are caught, pending operations and misuse are handled.
+// ones are caught, pending operations and misuse are handled -- and the
+// streaming checker localizes a violation to its minimal prefix and culprit.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include "baselines/native_atomic.hpp"
 #include "core/two_writer.hpp"
 #include "linearizability/monitor.hpp"
+#include "linearizability/streaming.hpp"
 #include "registers/packed_atomic.hpp"
 #include "util/sync.hpp"
 
@@ -132,7 +134,7 @@ TEST(Monitor, CatchesABrokenRegisterConcurrently) {
     EXPECT_FALSE(v.atomic);
 }
 
-// --- the online verifier (fault-run watcher) over hand-built logs --------
+// --- violation localization over hand-built logs (streaming checker) ----
 
 [[nodiscard]] event sim_event(event_kind k, processor_id p, op_index op,
                               value_t v) {
@@ -144,80 +146,117 @@ TEST(Monitor, CatchesABrokenRegisterConcurrently) {
     return e;
 }
 
-void append_write(event_log& log, processor_id p, op_index op, value_t v) {
-    log.append(sim_event(event_kind::sim_invoke_write, p, op, v));
-    log.append(sim_event(event_kind::sim_respond_write, p, op, v));
+void append_write(std::vector<event>& log, processor_id p, op_index op,
+                  value_t v) {
+    log.push_back(sim_event(event_kind::sim_invoke_write, p, op, v));
+    log.push_back(sim_event(event_kind::sim_respond_write, p, op, v));
 }
 
-void append_read(event_log& log, processor_id p, op_index op, value_t v) {
-    log.append(sim_event(event_kind::sim_invoke_read, p, op, 0));
-    log.append(sim_event(event_kind::sim_respond_read, p, op, v));
+void append_read(std::vector<event>& log, processor_id p, op_index op,
+                 value_t v) {
+    log.push_back(sim_event(event_kind::sim_invoke_read, p, op, 0));
+    log.push_back(sim_event(event_kind::sim_respond_read, p, op, v));
 }
 
-TEST(OnlineVerifier, CleanLogStaysSilent) {
-    event_log log(64);
-    online_verifier ver(log, 0, /*stride=*/1);
+/// Streams `log` through a live checker at `stride`; returns its verdict.
+[[nodiscard]] bool stream_flags(const std::vector<event>& log,
+                                std::size_t stride,
+                                std::uint64_t* detection_pos = nullptr) {
+    streaming_config cfg;
+    cfg.stride = stride;
+    streaming_checker chk(0, cfg);
+    for (const event& e : log) chk.ingest(e);
+    const bool flagged = chk.finish();
+    if (detection_pos != nullptr) *detection_pos = chk.detection_pos();
+    return flagged;
+}
+
+TEST(ViolationLocation, CleanLogStaysSilent) {
+    std::vector<event> log;
     append_write(log, 0, 0, 7);
-    EXPECT_FALSE(ver.poll());
     append_read(log, 2, 0, 7);
-    EXPECT_FALSE(ver.poll());
-    EXPECT_FALSE(ver.finish());
-    EXPECT_EQ(ver.checked_events(), 4u);
-    EXPECT_EQ(ver.locate_culprit(), std::nullopt);
+    EXPECT_FALSE(stream_flags(log, 1));
+    EXPECT_EQ(locate_violation(log, 0), std::nullopt);
 }
 
 // A known-bad recorded history with a known culprit: the second read
-// returns a value overwritten strictly before it was invoked. The verifier
-// must flag it, shrink to the minimal violating prefix, and name the read.
-TEST(OnlineVerifier, FlagsTheViolationAtTheRightOp) {
-    event_log log(64);
-    online_verifier ver(log, 0, /*stride=*/1);
+// returns a value overwritten strictly before it was invoked. The live
+// checker flags it wherever its stride lands; the replay shrinks that to
+// the minimal violating prefix and names the read.
+TEST(ViolationLocation, FlagsTheViolationAtTheRightOp) {
+    std::vector<event> log;
     append_write(log, 0, 0, 7);   // events 0-1
     append_read(log, 2, 0, 7);    // events 2-3: fine
-    EXPECT_FALSE(ver.poll());
     append_write(log, 0, 1, 9);   // events 4-5
     append_read(log, 2, 1, 7);    // events 6-7: STALE -- 9 landed first
-    EXPECT_TRUE(ver.poll());
-    EXPECT_TRUE(ver.violation_found());
-    EXPECT_TRUE(ver.finish());
-    EXPECT_FALSE(ver.diagnosis().empty());
+    append_read(log, 3, 0, 9);    // events 8-9: fine, but too late to help
+    std::uint64_t live_pos = 0;
+    EXPECT_TRUE(stream_flags(log, 64, &live_pos));
+    EXPECT_EQ(live_pos, log.size()) << "a coarse stride flags at the end";
 
-    const auto culprit = ver.locate_culprit();
-    ASSERT_TRUE(culprit.has_value());
-    EXPECT_EQ(culprit->processor, 2);
-    EXPECT_EQ(culprit->op, 1u);
+    const auto found = locate_violation(log, 0);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->culprit.processor, 2);
+    EXPECT_EQ(found->culprit.op, 1u);
     // Minimal violating prefix: everything up to and including the stale
     // read's response (8 events) -- no shorter prefix violates.
-    EXPECT_EQ(ver.detection_prefix(), 8u);
+    EXPECT_EQ(found->length, 8u);
+    EXPECT_FALSE(stream_flags({log.begin(), log.begin() + 7}, 1));
 }
 
 // Detection is sticky: once flagged, later (even "repairing-looking")
 // events cannot unflag it -- linearizability is prefix-closed.
-TEST(OnlineVerifier, ViolationIsSticky) {
-    event_log log(64);
-    online_verifier ver(log, 0, /*stride=*/1);
+TEST(ViolationLocation, ViolationIsSticky) {
+    std::vector<event> log;
     append_write(log, 0, 0, 5);
     append_read(log, 2, 0, 0);  // stale: initial value after the write
-    EXPECT_TRUE(ver.poll());
+    std::uint64_t pos = 0;
+    EXPECT_TRUE(stream_flags(log, 1, &pos));
+    EXPECT_EQ(pos, 4u);
     append_read(log, 2, 1, 5);  // a perfectly fine later read
-    EXPECT_TRUE(ver.poll());
-    EXPECT_TRUE(ver.finish());
+    EXPECT_TRUE(stream_flags(log, 1, &pos));
+    EXPECT_EQ(pos, 4u);
+    const auto found = locate_violation(log, 0);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->length, 4u);
+    EXPECT_EQ(found->culprit, (op_id{2, 0}));
 }
 
 // A read of a value no write produced (a torn word) surfaces as a checker
-// defect on the parsed prefix; the verifier must report it as a violation,
-// not an internal error.
-TEST(OnlineVerifier, TornValueSurfacesAsViolation) {
-    event_log log(64);
-    online_verifier ver(log, 0, /*stride=*/1);
+// diagnosis on the stream; it must be reported as a violation, not an
+// internal error.
+TEST(ViolationLocation, TornValueSurfacesAsViolation) {
+    std::vector<event> log;
     append_write(log, 0, 0, 0x0F);
     append_write(log, 1, 0, 0xF0);
     append_read(log, 2, 0, 0xFF);  // neither write produced 0xFF
-    EXPECT_TRUE(ver.poll());
-    EXPECT_FALSE(ver.diagnosis().empty());
-    const auto culprit = ver.locate_culprit();
-    ASSERT_TRUE(culprit.has_value());
-    EXPECT_EQ(culprit->processor, 2);
+    streaming_config cfg;
+    cfg.stride = 1;
+    streaming_checker chk(0, cfg);
+    for (const event& e : log) chk.ingest(e);
+    EXPECT_TRUE(chk.violation_found());
+    EXPECT_FALSE(chk.diagnosis().empty());
+    const auto found = locate_violation(log, 0);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->culprit.processor, 2);
+}
+
+// The replay never declares an operation crashed: a write open for longer
+// than the live checker's pending_grace (16 * window + 1024 events) and
+// then acknowledged is no violation, so the culprit is the stale read
+// after it, not the late acknowledgement.
+TEST(ViolationLocation, LongOpenOperationIsNoCulprit) {
+    std::vector<event> log;
+    log.push_back(sim_event(event_kind::sim_invoke_write, 0, 0, 5));
+    for (op_index i = 0; i < 600; ++i) append_read(log, 2, i, 0);
+    log.push_back(sim_event(event_kind::sim_respond_write, 0, 0, 5));
+    append_read(log, 2, 600, 0);  // stale: the write of 5 has responded
+    streaming_config cfg;
+    cfg.window = 2;  // live grace 1056 events, well inside the open span
+    const auto found = locate_violation(log, 0, cfg);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->length, log.size());
+    EXPECT_EQ(found->culprit, (op_id{2, 600}));
 }
 
 TEST(Monitor, ReportsOverflow) {

@@ -14,6 +14,7 @@
 
 #include "harness/checkers.hpp"
 #include "harness/driver.hpp"
+#include "harness/report.hpp"
 #include "histories/serialize.hpp"
 #include "histories/thread_log.hpp"
 #include "linearizability/streaming.hpp"
@@ -156,12 +157,18 @@ TEST(PerThreadCollection, ThreadsModeMergeChecksAtomic) {
 // ------------------------------------------- streaming vs post-hoc verdict --
 
 // On clean registers the streaming checker must agree with the post-hoc
-// fast checker: no violation, and everything eventually retires.
+// fast checker: no violation, and everything eventually retires -- also
+// when writers crash mid-protocol and recover (seed 5), which leaves an
+// invocation without a response before the writer's next op.
 TEST(StreamingChecker, MatchesBatchOnCleanRuns) {
     for (const std::string reg :
          {"bloom/packed", "bloom/seqlock", "bloom/fourslot"}) {
         for (std::uint64_t seed : {2ULL, 5ULL}) {
             run_spec spec;
+            if (seed == 5) {
+                spec.pace.crash_num = 1;
+                spec.pace.crash_den = 16;
+            }
             spec.register_name = reg;
             spec.load.writers = 2;
             spec.load.readers = 2;
@@ -181,6 +188,7 @@ TEST(StreamingChecker, MatchesBatchOnCleanRuns) {
             EXPECT_FALSE(res.stream.violation)
                 << reg << " seed " << seed << ": " << res.stream.diagnosis;
             EXPECT_GT(res.stream.ops_retired, 0u);
+            EXPECT_EQ(res.crashes_injected > 0, seed == 5) << reg;
 
             const pipeline_result checks =
                 run_checkers(res.events, spec.initial, {checker_kind::fast});
@@ -425,6 +433,24 @@ TEST(StreamingChecker, PendingWriteDecidedByLaterRead) {
     }
 }
 
+// A processor that invokes again while its write is open crashed
+// mid-write and recovered (parse_history's reading, and what the driver's
+// write_crashed pacing records). The old write becomes pending at once:
+// no malformed-stream flag, and a later read decides whether it landed.
+TEST(StreamingChecker, CrashRecoveredWriteStaysPending) {
+    streaming_checker chk(7, tiny_window());
+    chk.ingest(inv_w(0, 0, 101));  // crashes: never responds
+    chk.ingest(inv_w(0, 1, 102));  // the recovered writer's next write
+    chk.ingest(resp_w(0, 1));
+    EXPECT_FALSE(chk.violation_found()) << chk.diagnosis();
+    EXPECT_EQ(chk.stats().pending_carried, 1u);
+    read_of(chk, 2, 0, 102);
+    read_of(chk, 2, 1, 101);  // the crashed write landed late, after 102
+    EXPECT_FALSE(chk.finish()) << chk.diagnosis();
+    read_of(chk, 2, 2, 102);  // so 102 is overwritten for good
+    EXPECT_TRUE(chk.finish());
+}
+
 // An open write pins the certified cut at its invocation: reads that
 // complete while it is open stay uncertified, so the write's value may
 // still appear (the write is live), and once it has been read the initial
@@ -490,14 +516,6 @@ TEST(StreamingSpecs, ValidationRules) {
         EXPECT_FALSE(run(s).ok);
     }
     {
-        // The two monitors are mutually exclusive.
-        run_spec s = base;
-        s.collect = collect_mode::gamma;
-        s.online_monitor = true;
-        s.streaming_monitor = true;
-        EXPECT_FALSE(run(s).ok);
-    }
-    {
         // Clients need a timed threads run, and at least one per worker.
         run_spec s = base;
         s.clients = 8;
@@ -507,6 +525,41 @@ TEST(StreamingSpecs, ValidationRules) {
         s.clients = 2;  // fewer clients than the 4 workers
         EXPECT_FALSE(run(s).ok);
     }
+}
+
+// A timed per_thread run keeps no events and its fault plan has no shared
+// log to stamp the first injection against, so no latency can be counted:
+// the outcome says so, and the report omits the latency keys instead of
+// printing a fabricated 0.
+TEST(StreamingSpecs, TimedFaultRunReportsNoLatency) {
+    run_spec spec;
+    spec.register_name = "faulty/seqlock";
+    spec.load.writers = 2;
+    spec.load.readers = 2;
+    spec.duration_ms = 100;
+    spec.collect = collect_mode::per_thread;
+    spec.streaming_monitor = true;
+    spec.fault.cls = fault_class::stale_read;
+    spec.fault.rate_num = 1;
+    spec.fault.rate_den = 8;
+    const run_result res = run(spec);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_GT(res.faults_injected.total(), 0u);
+    ASSERT_TRUE(res.stream.violation) << "stale reads went unnoticed";
+    EXPECT_EQ(res.stream.injection_pos, no_event);
+    EXPECT_EQ(res.stream.detection_prefix, 0u) << "no events to replay";
+    EXPECT_FALSE(res.stream.culprit.has_value());
+
+    std::ostringstream os;
+    {
+        report_writer rep(os, "streaming_test");
+        rep.add_run(spec, res);
+        rep.finish();
+    }
+    const std::string json = os.str();
+    EXPECT_NE(json.find("\"detection_pos\""), std::string::npos) << json;
+    EXPECT_EQ(json.find("latency_ops"), std::string::npos) << json;
+    EXPECT_EQ(json.find("culprit"), std::string::npos) << json;
 }
 
 // A timed paced-client run produces the v4 latency block: every op is
