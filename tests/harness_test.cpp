@@ -183,6 +183,84 @@ TEST(HarnessDriver, InvalidSpecsFailFast) {
     }
 }
 
+// Both collectors record the same simulated history: under the seeded
+// schedule, gamma's invocations and responses (its real accesses aside)
+// equal the per_thread merge event for event. A register that must run
+// under gamma is compared with its twin over another substrate.
+TEST(HarnessCollectors, GammaRecordsThePerThreadHistory) {
+    const auto twin_of = [](const std::string& name) -> std::string {
+        if (name == "bloom/recording" || name == "bloom/plain") {
+            return "bloom/seqlock";
+        }
+        if (name == "faulty/recording") return "faulty/seqlock";
+        return name;
+    };
+    const auto sim_only = [](const std::vector<event>& events) {
+        std::vector<event> out;
+        for (const event& e : events) {
+            if (!is_real(e.kind)) out.push_back(e);
+        }
+        return out;
+    };
+    for (const registry_entry& e : registry()) {
+        const bool faulty =
+            e.info.family == "faulty" || e.info.family == "repair";
+        for (int variant = 0; variant < 4; ++variant) {
+            for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                run_spec spec;
+                spec.register_name = e.info.name;
+                spec.load.writers = e.info.min_writers;
+                spec.load.readers = 2;
+                spec.load.ops_per_writer = 120;
+                spec.load.ops_per_reader = 120;
+                spec.seed = seed;
+                spec.schedule = schedule_mode::seeded;
+                if (variant > 0) {
+                    spec.pace.writer_pace_num = 1;
+                    spec.pace.writer_pace_den = 4;
+                    spec.pace.reader_pace_num = 1;
+                    spec.pace.reader_pace_den = 4;
+                }
+                if (variant == 2) {
+                    spec.pace.crash_num = 1;
+                    spec.pace.crash_den = 16;
+                    if (faulty) {
+                        spec.fault.cls = fault_class::port_crash;
+                        spec.fault.rate_num = 1;
+                        spec.fault.rate_den = 32;
+                    }
+                }
+                spec.cached_writer_reads = variant == 3;
+                const std::string where = e.info.name + " variant " +
+                                          std::to_string(variant) + " seed " +
+                                          std::to_string(seed);
+
+                spec.collect = collect_mode::gamma;
+                const run_result gamma = run(spec);
+                ASSERT_TRUE(gamma.ok) << where << ": " << gamma.error;
+                spec.register_name = twin_of(e.info.name);
+                spec.collect = collect_mode::per_thread;
+                const run_result merged = run(spec);
+                ASSERT_TRUE(merged.ok) << where << ": " << merged.error;
+
+                const std::vector<event> g = sim_only(gamma.events);
+                std::size_t i = 0;
+                while (i < g.size() && i < merged.events.size() &&
+                       g[i].kind == merged.events[i].kind &&
+                       g[i].processor == merged.events[i].processor &&
+                       g[i].op == merged.events[i].op &&
+                       g[i].value == merged.events[i].value) {
+                    ++i;
+                }
+                EXPECT_TRUE(i == g.size() && i == merged.events.size())
+                    << where << ": first difference at event " << i << " of "
+                    << g.size() << " (gamma) / " << merged.events.size()
+                    << " (per_thread)";
+            }
+        }
+    }
+}
+
 TEST(HarnessWorkload, WritersFieldIsValidated) {
     workload wl;
     wl.scripts = {{{op_kind::write, 1}}, {{op_kind::read, 0}}};
