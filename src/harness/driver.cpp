@@ -29,17 +29,18 @@ using steady = std::chrono::steady_clock;
 }
 
 /// Executes one processor's script against its port, applying pacing, crash
-/// injection, latency sampling, and (per_thread collection) lock-free ring
-/// recording. Used verbatim by both the thread-per-processor and the seeded
+/// injection, latency sampling, and the recording of every invocation and
+/// response: into this thread's lock-free ring (per_thread) or the shared
+/// gamma log. Used verbatim by both the thread-per-processor and the seeded
 /// single-thread schedules.
 class script_runner {
 public:
     script_runner(any_port& port, const std::vector<workload_op>& script,
                   processor_id proc, port_role role, const run_spec& spec,
                   std::uint64_t rng_seed, event_ring* ring, seq_source* seqs,
-                  pause_fn pause)
+                  event_log* log, pause_fn pause)
         : port_(&port), script_(&script), proc_(proc), role_(role),
-          spec_(&spec), gen_(rng_seed), ring_(ring), seqs_(seqs),
+          spec_(&spec), gen_(rng_seed), ring_(ring), seqs_(seqs), log_(log),
           pause_(std::move(pause)) {}
 
     [[nodiscard]] bool exhausted() const noexcept {
@@ -186,14 +187,16 @@ private:
         if (!port_->crashed()) record(op_kind::read, /*response=*/true, out);
     }
 
-    /// Records one sim event into this thread's ring: a stamp drawn from
+    /// Records one sim event. Into this thread's ring: a stamp drawn from
     /// the shared relaxed counter (the only cross-thread write on the
     /// path), then plain stores plus one release publish. The stamp is
     /// drawn inside the operation's invocation..response window, so the
     /// fetch_add order is a legal serialization and the seq merge
-    /// reconstructs a valid external schedule.
+    /// reconstructs a valid external schedule. Into the gamma log: one
+    /// append, which interleaves it with the real accesses the recording
+    /// substrate logs from inside the operation.
     void record(op_kind kind, bool response, value_t v) {
-        if (ring_ == nullptr) return;
+        if (ring_ == nullptr && log_ == nullptr) return;
         event e;
         e.processor = proc_;
         e.op = record_op_ - (response ? 1 : 0);
@@ -206,7 +209,11 @@ private:
             e.kind = response ? event_kind::sim_respond_read
                               : event_kind::sim_invoke_read;
         }
-        ring_->push(seqs_->draw(), e);
+        if (ring_ != nullptr) {
+            ring_->push(seqs_->draw(), e);
+        } else {
+            log_->append(e);
+        }
     }
 
     any_port* port_;
@@ -217,6 +224,7 @@ private:
     rng gen_;
     event_ring* ring_;
     seq_source* seqs_;
+    event_log* log_;
     pause_fn pause_;
 
     std::size_t cursor_{0};
@@ -276,18 +284,6 @@ run_result run(const run_spec& spec) {
     const registry_entry* entry = find_register(spec.register_name);
     if (entry == nullptr) {
         return fail("unknown register '" + spec.register_name + "'");
-    }
-    if (spec.load.writers < entry->info.min_writers ||
-        spec.load.writers > entry->info.max_writers) {
-        return fail(entry->info.name + " supports " +
-                    std::to_string(entry->info.min_writers) + ".." +
-                    std::to_string(entry->info.max_writers) +
-                    " writers, got " + std::to_string(spec.load.writers));
-    }
-    if (entry->info.requires_log && spec.collect != collect_mode::gamma) {
-        return fail(entry->info.name +
-                    " records real accesses into a shared gamma log; run it "
-                    "with collect=gamma");
     }
     const bool timed = spec.duration_ms > 0;
     if (timed && spec.collect != collect_mode::none &&
@@ -476,7 +472,7 @@ run_result run(const run_spec& spec) {
                 p < wl.writers ? port_role::writer : port_role::reader, spec,
                 per_proc_seed(spec.seed, p),
                 per_thread ? rings[p].get() : nullptr,
-                per_thread ? &seqs : nullptr, pause_burst);
+                per_thread ? &seqs : nullptr, args.log, pause_burst);
         }
         const std::uint64_t t0 = now_ns();
         for (;;) {
@@ -521,7 +517,7 @@ run_result run(const run_spec& spec) {
                     p < wl.writers ? port_role::writer : port_role::reader,
                     spec, per_proc_seed(spec.seed, p),
                     per_thread ? rings[p].get() : nullptr,
-                    per_thread ? &seqs : nullptr,
+                    per_thread ? &seqs : nullptr, args.log,
                     [yields = spec.pace.pause_yields] {
                         for (unsigned i = 0; i < yields; ++i) {
                             std::this_thread::yield();

@@ -15,11 +15,11 @@
 //     workload, same history, byte for byte. Determinism is what the
 //     harness tests pin.
 //
-// Two history collectors:
-//   * gamma      -- the register (or its adapter) appends simulated
-//     invocations/responses into one shared MPMC event_log; required for
-//     the recording substrate, whose REAL accesses must interleave with
-//     the simulated events in one total order;
+// Two history collectors. Either way the driver records every simulated
+// invocation and response (script_runner), at the same points:
+//   * gamma      -- one shared MPMC event_log; required for the recording
+//     substrate, whose REAL accesses must interleave with the simulated
+//     events in one total order;
 //   * per_thread -- each worker records into its own fixed-capacity
 //     lock-free ring (histories/thread_log.hpp), stamping every record
 //     from one shared relaxed fetch_add counter -- the only shared write
@@ -48,7 +48,8 @@ namespace bloom87::harness {
 /// How the driver records the run's external schedule.
 enum class collect_mode : std::uint8_t {
     none,        ///< throughput runs: nothing recorded
-    gamma,       ///< one shared event_log (register/adapter self-logs)
+    gamma,       ///< one shared event_log (plus the recording substrate's
+                 ///< real accesses)
     per_thread,  ///< lock-free per-thread rings, merged by sequence stamp
 };
 

@@ -1,5 +1,7 @@
 #include "harness/registry.hpp"
 
+#include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/contracts.hpp"
@@ -25,8 +27,7 @@ namespace {
 /// packed-word substrates can carry the harness's 64-bit unique values
 /// (unique_value never exceeds 2^56). Kept trivial -- no user-provided
 /// constructors -- so word packing's memcpy stays warning-clean; convert
-/// with pack56(). The implicit conversion back to value_t is what lets
-/// two_writer_register's event logging record the true value.
+/// with pack56(), and back with the implicit conversion to value_t.
 struct packed56 {
     unsigned char bytes[7];
 
@@ -58,58 +59,38 @@ T from_value(value_t v) {
     }
 }
 
-/// Manual invocation/response logging for registers that do not log their
-/// own simulated operations (the native word, the VA register, the SWMR
-/// ladder). Mirrors atomicity_monitor's event shape.
-class ext_logger {
-public:
-    ext_logger(event_log* log, processor_id proc) : log_(log), proc_(proc) {}
-
-    void invoke(op_kind kind, value_t v) {
-        if (log_ == nullptr) return;
-        event e;
-        e.kind = kind == op_kind::write ? event_kind::sim_invoke_write
-                                        : event_kind::sim_invoke_read;
-        e.processor = proc_;
-        e.op = next_op_;
-        e.value = kind == op_kind::write ? v : 0;
-        log_->append(e);
-    }
-    void respond(op_kind kind, value_t result) {
-        if (log_ == nullptr) return;
-        event e;
-        e.kind = kind == op_kind::write ? event_kind::sim_respond_write
-                                        : event_kind::sim_respond_read;
-        e.processor = proc_;
-        e.op = next_op_;
-        e.value = kind == op_kind::write ? 0 : result;
-        log_->append(e);
-    }
-    void finish_op() { ++next_op_; }
-
-private:
-    event_log* log_;
-    processor_id proc_;
-    op_index next_op_{0};
-};
-
 // ---------------------------------------------------------------- bloom/* --
 
-/// Adapter over two_writer_register<T, Reg>. The register itself logs
-/// simulated operations (set_external_log / recording constructor), so the
-/// ports never log.
-template <typename T, typename Reg>
+/// Whether a port_crash fault has killed a processor: never, outside the
+/// fault-plan-driven compositions...
+struct never_crashed {
+    [[nodiscard]] bool operator()(processor_id) const noexcept { return false; }
+};
+
+/// ...and for the faulty/ and repair/ families, whatever the shared plan
+/// says. Their substrates already turn a dead processor's accesses into
+/// no-ops, so the port needs nothing else from the plan.
+struct plan_crashed {
+    const fault_plan* plan;
+    [[nodiscard]] bool operator()(processor_id p) const noexcept {
+        return plan->crashed(p);
+    }
+};
+
+/// Adapter over two_writer_register<T, Reg>.
+template <typename T, typename Reg, typename Crashed = never_crashed>
 class bloom_any final : public any_register {
     using reg_t = two_writer_register<T, Reg>;
 
 public:
-    explicit bloom_any(std::unique_ptr<reg_t> reg) : reg_(std::move(reg)) {}
+    explicit bloom_any(std::unique_ptr<reg_t> reg, Crashed crashed = {})
+        : reg_(std::move(reg)), crashed_(crashed) {}
 
     class wport final : public any_port {
     public:
-        wport(reg_t& r, int index)
+        wport(reg_t& r, int index, Crashed crashed)
             : w_(index == 0 ? &r.writer0() : &r.writer1()),
-              proc_(static_cast<processor_id>(index)) {}
+              proc_(static_cast<processor_id>(index)), crashed_(crashed) {}
 
         value_t read() override { return static_cast<value_t>(w_->read()); }
         void write(value_t v) override { w_->write(from_value<T>(v)); }
@@ -132,16 +113,19 @@ public:
                 during);
             return true;
         }
+        [[nodiscard]] bool crashed() const override { return crashed_(proc_); }
 
     private:
         typename reg_t::writer* w_;
         processor_id proc_;
         std::uint32_t stall_count_{0};
+        [[no_unique_address]] Crashed crashed_;
     };
 
     class rport final : public any_port {
     public:
-        explicit rport(typename reg_t::reader rd) : rd_(std::move(rd)) {}
+        rport(typename reg_t::reader rd, Crashed crashed)
+            : rd_(std::move(rd)), crashed_(crashed) {}
 
         value_t read() override { return static_cast<value_t>(rd_.read()); }
         void write(value_t) override {}  // reader ports never write
@@ -152,31 +136,55 @@ public:
             (void)rd_.read_paced(during);
             return true;
         }
+        [[nodiscard]] bool crashed() const override {
+            return crashed_(rd_.processor());
+        }
 
     private:
         typename reg_t::reader rd_;
+        [[no_unique_address]] Crashed crashed_;
     };
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role role) override {
         if (role == port_role::writer) {
-            return std::make_unique<wport>(*reg_, processor);
+            return std::make_unique<wport>(*reg_, processor, crashed_);
         }
-        return std::make_unique<rport>(reg_->make_reader(processor));
+        return std::make_unique<rport>(reg_->make_reader(processor), crashed_);
     }
 
 private:
     std::unique_ptr<reg_t> reg_;
+    [[no_unique_address]] Crashed crashed_;
 };
+
+/// Builds Bloom's construction over `Reg`; `args` go to the register.
+template <typename T, typename Reg, typename... Args>
+[[nodiscard]] std::unique_ptr<any_register> make_bloom(Args&&... args) {
+    return std::make_unique<bloom_any<T, Reg>>(
+        std::make_unique<two_writer_register<T, Reg>>(
+            std::forward<Args>(args)...));
+}
+
+/// bloom/recording and bloom/plain: the substrate logs the real accesses,
+/// the driver the simulated operations around them.
+[[nodiscard]] std::unique_ptr<any_register> make_recording(
+    const register_args& a) {
+    event_log* log = a.log;
+    return make_bloom<value_t, recording_register>(
+        a.initial, [log](tagged<value_t> init, int reg_index) {
+            return recording_register(init, log,
+                                      static_cast<std::uint8_t>(reg_index));
+        });
+}
 
 // ------------------------------------------------------------- baseline/* --
 
-/// Adapter over the blocking baselines (mutex / rw-lock). The registers log
-/// their own simulated operations when constructed with a log.
+/// Adapter over the blocking baselines (mutex / rw-lock).
 template <typename Reg>
 class lock_any final : public any_register {
 public:
-    lock_any(value_t initial, event_log* log) : reg_(initial, log) {}
+    explicit lock_any(value_t initial) : reg_(initial) {}
 
     class port final : public any_port {
     public:
@@ -212,47 +220,34 @@ private:
     Reg reg_;
 };
 
-/// Adapter over the native MRMW atomic word; logging is the adapter's job.
+/// Adapter over the native MRMW atomic word.
 class native_any final : public any_register {
     using reg_t = native_atomic_register<packed56>;
 
 public:
-    native_any(value_t initial, event_log* log)
-        : reg_(pack56(initial)), log_(log) {}
+    explicit native_any(value_t initial) : reg_(pack56(initial)) {}
 
     class port final : public any_port {
     public:
-        port(reg_t& r, event_log* log, processor_id proc)
-            : reg_(&r), logger_(log, proc), proc_(proc) {}
+        port(reg_t& r, processor_id proc) : reg_(&r), proc_(proc) {}
 
         value_t read() override {
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = static_cast<value_t>(reg_->read(proc_));
-            logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-            return out;
+            return static_cast<value_t>(reg_->read(proc_));
         }
-        void write(value_t v) override {
-            logger_.invoke(op_kind::write, v);
-            reg_->write(pack56(v), proc_);
-            logger_.respond(op_kind::write, 0);
-            logger_.finish_op();
-        }
+        void write(value_t v) override { reg_->write(pack56(v), proc_); }
 
     private:
         reg_t* reg_;
-        ext_logger logger_;
         processor_id proc_;
     };
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role) override {
-        return std::make_unique<port>(reg_, log_, processor);
+        return std::make_unique<port>(reg_, processor);
     }
 
 private:
     reg_t reg_;
-    event_log* log_;
 };
 
 // ------------------------------------------------------------------- va/* --
@@ -261,65 +256,41 @@ class va_any final : public any_register {
     using reg_t = va_register<value_t>;
 
 public:
-    va_any(value_t initial, std::size_t writers, event_log* log)
-        : reg_(initial, writers), log_(log) {}
+    va_any(value_t initial, std::size_t writers) : reg_(initial, writers) {}
 
     class wport final : public any_port {
     public:
-        wport(reg_t::writer_port p, event_log* log, processor_id proc)
-            : p_(std::move(p)), logger_(log, proc) {}
+        explicit wport(reg_t::writer_port p) : p_(std::move(p)) {}
 
-        value_t read() override {
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = p_.read();
-            logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-            return out;
-        }
-        void write(value_t v) override {
-            logger_.invoke(op_kind::write, v);
-            p_.write(v);
-            logger_.respond(op_kind::write, 0);
-            logger_.finish_op();
-        }
+        value_t read() override { return p_.read(); }
+        void write(value_t v) override { p_.write(v); }
 
     private:
         reg_t::writer_port p_;
-        ext_logger logger_;
     };
 
     class rport final : public any_port {
     public:
-        rport(reg_t& r, event_log* log, processor_id proc)
-            : reg_(&r), logger_(log, proc) {}
+        explicit rport(reg_t& r) : reg_(&r) {}
 
-        value_t read() override {
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = reg_->read();
-            logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-            return out;
-        }
+        value_t read() override { return reg_->read(); }
         void write(value_t) override {}
 
     private:
         reg_t* reg_;
-        ext_logger logger_;
     };
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role role) override {
         if (role == port_role::writer) {
             return std::make_unique<wport>(
-                reg_.make_writer_port(static_cast<std::size_t>(processor)),
-                log_, processor);
+                reg_.make_writer_port(static_cast<std::size_t>(processor)));
         }
-        return std::make_unique<rport>(reg_, log_, processor);
+        return std::make_unique<rport>(reg_);
     }
 
 private:
     reg_t reg_;
-    event_log* log_;
 };
 
 // ----------------------------------------------------------------- swmr/* --
@@ -332,113 +303,73 @@ class swmr_any final : public any_register {
     using reg_t = swmr_from_swsr<value_t>;
 
 public:
-    swmr_any(value_t initial, std::size_t readers, event_log* log)
+    swmr_any(value_t initial, std::size_t readers)
         : reg_(tagged<value_t>{initial, false}, readers + 1),
-          writer_read_port_(readers), log_(log) {}
+          writer_read_port_(readers) {}
 
     class wport final : public any_port {
     public:
-        wport(reg_t& r, std::size_t read_port, event_log* log,
-              processor_id proc)
-            : reg_(&r), rd_(r.make_reader_port(read_port)), logger_(log, proc) {}
+        wport(reg_t& r, std::size_t read_port)
+            : reg_(&r), rd_(r.make_reader_port(read_port)) {}
 
-        value_t read() override {
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = rd_.read().value;
-            logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-            return out;
-        }
+        value_t read() override { return rd_.read().value; }
         void write(value_t v) override {
-            logger_.invoke(op_kind::write, v);
             reg_->write(tagged<value_t>{v, false});
-            logger_.respond(op_kind::write, 0);
-            logger_.finish_op();
         }
 
     private:
         reg_t* reg_;
         reg_t::reader_port rd_;
-        ext_logger logger_;
     };
 
     class rport final : public any_port {
     public:
-        rport(reg_t::reader_port p, event_log* log, processor_id proc)
-            : p_(std::move(p)), logger_(log, proc) {}
+        explicit rport(reg_t::reader_port p) : p_(std::move(p)) {}
 
-        value_t read() override {
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = p_.read().value;
-            logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-            return out;
-        }
+        value_t read() override { return p_.read().value; }
         void write(value_t) override {}
 
     private:
         reg_t::reader_port p_;
-        ext_logger logger_;
     };
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role role) override {
         if (role == port_role::writer) {
-            return std::make_unique<wport>(reg_, writer_read_port_, log_,
-                                           processor);
+            return std::make_unique<wport>(reg_, writer_read_port_);
         }
         return std::make_unique<rport>(
-            reg_.make_reader_port(static_cast<std::size_t>(processor) - 1),
-            log_, processor);
+            reg_.make_reader_port(static_cast<std::size_t>(processor) - 1));
     }
 
 private:
     reg_t reg_;
     std::size_t writer_read_port_;
-    event_log* log_;
 };
 
 // ----------------------------------------------------------- tournament/* --
 
 /// The BROKEN Section 8 tournament (4 writers over native atomic words).
 /// Registered so the harness can demonstrate the failure: checkers are
-/// expected to reject its histories (info.expected_atomic = false).
-/// The register's own logging stays off; the adapter logs every simulated
-/// operation itself so a writer's scripted reads (served by an internal
-/// reader handle) share the writer's per-processor op counter.
+/// expected to reject its histories (info.expected_atomic = false). A
+/// writer's scripted reads go through an internal reader handle.
 class tournament_any final : public any_register {
     using reg_t = tournament_four_writer<packed56>;
 
 public:
-    tournament_any(value_t initial, event_log* log)
-        : reg_(pack56(initial), nullptr), log_(log) {}
+    explicit tournament_any(value_t initial) : reg_(pack56(initial)) {}
 
     class wport final : public any_port {
     public:
-        wport(reg_t& r, event_log* log, processor_id proc)
-            : w_(r.make_writer(proc)), rd_(r.make_reader(proc)),
-              logger_(log, proc), proc_(proc) {}
+        wport(reg_t& r, processor_id proc)
+            : w_(r.make_writer(proc)), rd_(r.make_reader(proc)), proc_(proc) {}
 
-        value_t read() override {
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = static_cast<value_t>(rd_.read());
-            logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-            return out;
-        }
-        void write(value_t v) override {
-            logger_.invoke(op_kind::write, v);
-            w_.write(pack56(v));
-            logger_.respond(op_kind::write, 0);
-            logger_.finish_op();
-        }
+        value_t read() override { return static_cast<value_t>(rd_.read()); }
+        void write(value_t v) override { w_.write(pack56(v)); }
         void write_paced(value_t v, const pause_fn& pause) override {
-            logger_.invoke(op_kind::write, v);
             w_.begin_write(pack56(v));
             pause();
             w_.finish_write();
-            logger_.respond(op_kind::write, 0);
-            logger_.finish_op();
         }
         bool stall(const pause_fn& during) override {
             write_paced(unique_value(proc_, 0x80000000u + stall_count_++),
@@ -449,223 +380,81 @@ public:
     private:
         reg_t::writer w_;
         reg_t::reader rd_;
-        ext_logger logger_;
         processor_id proc_;
         std::uint32_t stall_count_{0};
     };
 
     class rport final : public any_port {
     public:
-        rport(reg_t::reader rd, event_log* log, processor_id proc)
-            : rd_(std::move(rd)), logger_(log, proc) {}
+        explicit rport(reg_t::reader rd) : rd_(std::move(rd)) {}
 
-        value_t read() override {
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = static_cast<value_t>(rd_.read());
-            logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-            return out;
-        }
+        value_t read() override { return static_cast<value_t>(rd_.read()); }
         void write(value_t) override {}
 
     private:
         reg_t::reader rd_;
-        ext_logger logger_;
     };
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role role) override {
         if (role == port_role::writer) {
-            return std::make_unique<wport>(reg_, log_, processor);
+            return std::make_unique<wport>(reg_, processor);
         }
-        return std::make_unique<rport>(reg_.make_reader(processor), log_,
-                                       processor);
+        return std::make_unique<rport>(reg_.make_reader(processor));
     }
 
 private:
     reg_t reg_;
-    event_log* log_;
 };
 
-// ----------------------------------------------------------------- faulty/* --
-
-/// The write/read ports shared by every fault-plan-driven shared-memory
-/// composition (faulty_any below and repair_any after it). They log
-/// invocations/responses themselves -- the register's own sim-event logging
-/// stays OFF -- so that a port killed by a port_crash fault can leave its
-/// final operation PENDING (invocation without response): the external
-/// trace of a processor that died mid-operation, exactly what the checkers
-/// must tolerate.
-template <typename RegT>
-class injected_wport final : public any_port {
-    using reg_t = RegT;
-
-public:
-        injected_wport(reg_t& r, int index, fault_plan& plan, event_log* log)
-            : w_(index == 0 ? &r.writer0() : &r.writer1()), plan_(&plan),
-              logger_(log, static_cast<processor_id>(index)),
-              proc_(static_cast<processor_id>(index)) {}
-
-        value_t read() override {
-            if (plan_->crashed(proc_)) return 0;
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = static_cast<value_t>(w_->read());
-            respond_unless_crashed(op_kind::read, out);
-            return out;
-        }
-        void write(value_t v) override {
-            if (plan_->crashed(proc_)) return;
-            logger_.invoke(op_kind::write, v);
-            w_->write(v);
-            respond_unless_crashed(op_kind::write, 0);
-        }
-        void write_paced(value_t v, const pause_fn& pause) override {
-            if (plan_->crashed(proc_)) return;
-            logger_.invoke(op_kind::write, v);
-            w_->write_paced(v, pause);
-            respond_unless_crashed(op_kind::write, 0);
-        }
-        bool write_crashed(value_t v, crash_point cp) override {
-            if (plan_->crashed(proc_)) return true;
-            logger_.invoke(op_kind::write, v);
-            w_->write_crashed(v, cp);
-            logger_.finish_op();  // crashed write: pending by design
-            return true;
-        }
-        bool read_cached(value_t& out) override {
-            if (plan_->crashed(proc_)) {
-                out = 0;
-                return true;
-            }
-            logger_.invoke(op_kind::read, 0);
-            out = static_cast<value_t>(w_->read_cached());
-            respond_unless_crashed(op_kind::read, out);
-            return true;
-        }
-        bool stall(const pause_fn& during) override {
-            if (plan_->crashed(proc_)) return true;
-            const value_t v = unique_value(proc_, 0x80000000u + stall_count_++);
-            logger_.invoke(op_kind::write, v);
-            w_->write_paced(v, during);
-            respond_unless_crashed(op_kind::write, 0);
-            return true;
-        }
-        [[nodiscard]] bool crashed() const override {
-            return plan_->crashed(proc_);
-        }
-
-    private:
-        /// A port_crash fault mid-operation kills the port: the operation
-        /// stays pending (no response event) and the op counter advances.
-        void respond_unless_crashed(op_kind kind, value_t v) {
-            if (!plan_->crashed(proc_)) logger_.respond(kind, v);
-            logger_.finish_op();
-        }
-
-        typename reg_t::writer* w_;
-        fault_plan* plan_;
-        ext_logger logger_;
-        processor_id proc_;
-        std::uint32_t stall_count_{0};
-};
-
-template <typename RegT>
-class injected_rport final : public any_port {
-    using reg_t = RegT;
-
-public:
-        injected_rport(typename reg_t::reader rd, fault_plan& plan,
-                       event_log* log, processor_id proc)
-            : rd_(std::move(rd)), plan_(&plan), logger_(log, proc),
-              proc_(proc) {}
-
-        value_t read() override {
-            if (plan_->crashed(proc_)) return 0;
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = static_cast<value_t>(rd_.read());
-            respond_unless_crashed(out);
-            return out;
-        }
-        void write(value_t) override {}  // reader ports never write
-        value_t read_paced(const pause_fn& pause) override {
-            if (plan_->crashed(proc_)) return 0;
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = static_cast<value_t>(rd_.read_paced(pause));
-            respond_unless_crashed(out);
-            return out;
-        }
-        bool stall(const pause_fn& during) override {
-            if (plan_->crashed(proc_)) return true;
-            (void)read_paced(during);
-            return true;
-        }
-        [[nodiscard]] bool crashed() const override {
-            return plan_->crashed(proc_);
-        }
-
-    private:
-        void respond_unless_crashed(value_t out) {
-            if (!plan_->crashed(proc_)) logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-        }
-
-        typename reg_t::reader rd_;
-        fault_plan* plan_;
-        ext_logger logger_;
-        processor_id proc_;
-};
+// ---------------------------------------------------------- faulty/, repair/ --
 
 /// Bloom's construction over substrates wrapped in the fault injector
 /// (registers/faulty.hpp).
 template <typename Inner>
 class faulty_any final : public any_register {
-    using reg_t = two_writer_register<value_t, faulty_register<Inner>>;
+    using sub_t = faulty_register<Inner>;
 
 public:
     /// `make_inner(init, plan, reg_index)` builds one wrapped substrate.
     template <typename MakeInner>
     faulty_any(const register_args& a, MakeInner&& make_inner)
         : plan_(a.fault, a.log),
-          log_(a.log),
-          reg_(a.initial, [&](tagged<value_t> init, int reg_index) {
-              return make_inner(init, &plan_, reg_index);
-          }) {}
+          bloom_(std::make_unique<two_writer_register<value_t, sub_t>>(
+                     a.initial,
+                     [&](tagged<value_t> init, int reg_index) {
+                         return make_inner(init, &plan_, reg_index);
+                     }),
+                 plan_crashed{&plan_}) {}
 
     [[nodiscard]] fault_counts faults() override { return plan_.counts(); }
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role role) override {
-        if (role == port_role::writer) {
-            return std::make_unique<injected_wport<reg_t>>(reg_, processor,
-                                                           plan_, log_);
-        }
-        return std::make_unique<injected_rport<reg_t>>(
-            reg_.make_reader(processor), plan_, log_, processor);
+        return bloom_.make_port(processor, role);
     }
 
 private:
-    fault_plan plan_;  // before reg_: the factory lambda takes its address
-    event_log* log_;
-    reg_t reg_;
+    fault_plan plan_;  // before bloom_: the substrates keep its address
+    bloom_any<value_t, sub_t, plan_crashed> bloom_;
 };
-
-// ----------------------------------------------------------------- repair/* --
 
 /// The self-healing wrapper (registers/repair.hpp) around the fault
 /// injector: same plan, same crash semantics, same ports -- plus the
 /// repair-overhead counters surfaced through repair().
 template <typename Inner>
 class repair_any final : public any_register {
-    using reg_t =
-        two_writer_register<value_t, repair_register<Inner>>;
+    using sub_t = repair_register<Inner>;
 
 public:
     explicit repair_any(const register_args& a)
         : plan_(a.fault, a.log),
-          log_(a.log),
-          reg_(a.initial, [&](tagged<value_t> init, int) {
-              return repair_register<Inner>(init, &plan_, &counts_);
-          }) {}
+          bloom_(std::make_unique<two_writer_register<value_t, sub_t>>(
+                     a.initial,
+                     [&](tagged<value_t> init, int) {
+                         return sub_t(init, &plan_, &counts_);
+                     }),
+                 plan_crashed{&plan_}) {}
 
     [[nodiscard]] fault_counts faults() override { return plan_.counts(); }
     [[nodiscard]] repair_stats repair() override {
@@ -681,19 +470,13 @@ public:
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role role) override {
-        if (role == port_role::writer) {
-            return std::make_unique<injected_wport<reg_t>>(reg_, processor,
-                                                           plan_, log_);
-        }
-        return std::make_unique<injected_rport<reg_t>>(
-            reg_.make_reader(processor), plan_, log_, processor);
+        return bloom_.make_port(processor, role);
     }
 
 private:
-    fault_plan plan_;       // before reg_: the factory lambda takes both
+    fault_plan plan_;       // before bloom_: the substrates keep both
     repair_counts counts_;  // addresses
-    event_log* log_;
-    reg_t reg_;
+    bloom_any<value_t, sub_t, plan_crashed> bloom_;
 };
 
 // ------------------------------------------------------------------- net/* --
@@ -742,38 +525,46 @@ private:
     };
 }
 
-/// ABD quorum replication behind the type-erased interface. Client index ==
-/// processor id (writers first). The adapter logs sim events (the net layer
-/// knows nothing about gamma logs), and the paced variants hand the
+/// A quorum-replicated register on the in-process message bus behind the
+/// type-erased interface: ABD (net::abd_system; client index == processor
+/// id, writers first) or the Mostefaoui-Raynal two-bit construction
+/// (net::twobit_system; processor 0 is THE writer, and its scripted reads
+/// run the reader protocol on client 0). The paced variants hand the
 /// harness's pause to the protocol's round boundary -- which is where the
 /// driver's seeded schedule interleaves other processors' bus activity.
-class abd_any final : public any_register {
+template <typename System>
+class net_any final : public any_register {
+    static constexpr bool abd = std::is_same_v<System, net::abd_system>;
+
 public:
-    explicit abd_any(const register_args& a)
-        : plan_(a.fault, a.log), log_(a.log),
-          observer_(make_net_observer(a.log)) {
-        net::abd_config cfg;
+    explicit net_any(const register_args& a)
+        : plan_(a.fault, a.log), observer_(make_net_observer(a.log)),
+          servers_(a.servers) {
+        std::conditional_t<abd, net::abd_config, net::twobit_config> cfg;
         cfg.servers = a.servers;
-        cfg.clients = a.writers + a.readers;
-        cfg.writers = a.writers;
-        cfg.multi_writer = a.writers > 1;
+        if constexpr (abd) {
+            cfg.clients = a.writers + a.readers;
+            cfg.writers = a.writers;
+            cfg.multi_writer = a.writers > 1;
+        } else {
+            cfg.clients = 1 + a.readers;
+        }
         cfg.initial = a.initial;
         cfg.bus.seed = a.net_seed;
         cfg.abort_flag = a.abort;
         cfg.observer = &observer_;
-        sys_ = std::make_unique<net::abd_system>(cfg, &plan_);
+        sys_ = std::make_unique<System>(cfg, &plan_);
     }
 
     [[nodiscard]] fault_counts faults() override { return plan_.counts(); }
     [[nodiscard]] net_stats net() override {
-        return to_net_stats(sys_->counters(), sys_->servers(), sys_->quorum());
+        return to_net_stats(sys_->counters(), servers_, sys_->quorum());
     }
 
     class port final : public any_port {
     public:
-        port(net::abd_system& s, event_log* log, processor_id proc,
-             port_role role)
-            : sys_(&s), logger_(log, proc), proc_(proc), role_(role) {}
+        port(System& s, processor_id proc, port_role role)
+            : sys_(&s), proc_(proc), role_(role) {}
 
         value_t read() override { return do_read(nullptr); }
         void write(value_t v) override { do_write(v, nullptr); }
@@ -792,32 +583,22 @@ public:
     private:
         value_t do_read(const pause_fn* pause) {
             if (parked_) return 0;
-            logger_.invoke(op_kind::read, 0);
             const std::optional<value_t> out =
                 sys_->read(static_cast<std::size_t>(proc_), pause);
-            if (!out.has_value()) {
-                parked_ = true;  // pending forever, like a crashed op
-                logger_.finish_op();
-                return 0;
-            }
-            logger_.respond(op_kind::read, *out);
-            logger_.finish_op();
-            return *out;
+            parked_ = !out.has_value();
+            return out.value_or(0);
         }
         void do_write(value_t v, const pause_fn* pause) {
             if (role_ != port_role::writer || parked_) return;
-            logger_.invoke(op_kind::write, v);
-            if (!sys_->write(static_cast<std::size_t>(proc_), v, pause)) {
-                parked_ = true;
-                logger_.finish_op();
-                return;
+            if constexpr (abd) {
+                parked_ = !sys_->write(static_cast<std::size_t>(proc_), v,
+                                       pause);
+            } else {
+                parked_ = !sys_->write(v, pause);
             }
-            logger_.respond(op_kind::write, 0);
-            logger_.finish_op();
         }
 
-        net::abd_system* sys_;
-        ext_logger logger_;
+        System* sys_;
         processor_id proc_;
         port_role role_;
         bool parked_{false};
@@ -825,99 +606,14 @@ public:
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role role) override {
-        return std::make_unique<port>(*sys_, log_, processor, role);
+        return std::make_unique<port>(*sys_, processor, role);
     }
 
 private:
     fault_plan plan_;  // before sys_: the bus keeps its address
-    event_log* log_;
     net::replica_observer observer_;  // before sys_: cfg keeps its address
-    std::unique_ptr<net::abd_system> sys_;
-};
-
-/// The Mostefaoui-Raynal two-bit-message construction behind the same
-/// interface. Processor 0 is THE writer (SWMR); its scripted reads run the
-/// reader protocol on client 0.
-class twobit_any final : public any_register {
-public:
-    explicit twobit_any(const register_args& a)
-        : plan_(a.fault, a.log), log_(a.log),
-          observer_(make_net_observer(a.log)), cfg_servers_(a.servers) {
-        net::twobit_config cfg;
-        cfg.servers = a.servers;
-        cfg.clients = 1 + a.readers;
-        cfg.initial = a.initial;
-        cfg.bus.seed = a.net_seed;
-        cfg.abort_flag = a.abort;
-        cfg.observer = &observer_;
-        sys_ = std::make_unique<net::twobit_system>(cfg, &plan_);
-    }
-
-    [[nodiscard]] fault_counts faults() override { return plan_.counts(); }
-    [[nodiscard]] net_stats net() override {
-        return to_net_stats(sys_->counters(), cfg_servers_, sys_->quorum());
-    }
-
-    class port final : public any_port {
-    public:
-        port(net::twobit_system& s, event_log* log, processor_id proc)
-            : sys_(&s), logger_(log, proc), proc_(proc) {}
-
-        value_t read() override { return do_read(nullptr); }
-        void write(value_t v) override { do_write(v, nullptr); }
-        value_t read_paced(const pause_fn& pause) override {
-            return do_read(&pause);
-        }
-        void write_paced(value_t v, const pause_fn& pause) override {
-            do_write(v, &pause);
-        }
-        /// Same UNAVAILABLE parking convention as abd_any::port.
-        [[nodiscard]] bool crashed() const override { return parked_; }
-
-    private:
-        value_t do_read(const pause_fn* pause) {
-            if (parked_) return 0;
-            logger_.invoke(op_kind::read, 0);
-            const std::optional<value_t> out =
-                sys_->read(static_cast<std::size_t>(proc_), pause);
-            if (!out.has_value()) {
-                parked_ = true;
-                logger_.finish_op();
-                return 0;
-            }
-            logger_.respond(op_kind::read, *out);
-            logger_.finish_op();
-            return *out;
-        }
-        void do_write(value_t v, const pause_fn* pause) {
-            if (proc_ != 0 || parked_) return;
-            logger_.invoke(op_kind::write, v);
-            if (!sys_->write(v, pause)) {
-                parked_ = true;
-                logger_.finish_op();
-                return;
-            }
-            logger_.respond(op_kind::write, 0);
-            logger_.finish_op();
-        }
-
-        net::twobit_system* sys_;
-        ext_logger logger_;
-        processor_id proc_;
-        bool parked_{false};
-    };
-
-    std::unique_ptr<any_port> make_port(processor_id processor,
-                                        port_role) override {
-        return std::make_unique<port>(*sys_, log_, processor);
-    }
-
-private:
-    fault_plan plan_;  // before sys_: the bus keeps its address
-    event_log* log_;
-    net::replica_observer observer_;  // before sys_: cfg keeps its address
-    std::unique_ptr<net::twobit_system> sys_;
-    std::size_t cfg_servers_{3};
+    std::size_t servers_;
+    std::unique_ptr<System> sys_;
 };
 
 // --------------------------------------------------------------- registry --
@@ -942,47 +638,31 @@ std::vector<registry_entry> build_registry() {
                       "Bloom two-writer over one packed atomic word per real "
                       "register (production substrate)",
                       2, 2, true),
-                 [](const register_args& a) -> std::unique_ptr<any_register> {
-                     using reg_t =
-                         two_writer_register<packed56,
-                                             packed_atomic_register<packed56>>;
-                     auto reg = std::make_unique<reg_t>(pack56(a.initial));
-                     reg->set_external_log(a.log);
-                     return std::make_unique<
-                         bloom_any<packed56, packed_atomic_register<packed56>>>(
-                         std::move(reg));
+                 [](const register_args& a) {
+                     return make_bloom<packed56,
+                                       packed_atomic_register<packed56>>(
+                         pack56(a.initial));
                  }});
 
     r.push_back({info("bloom/seqlock",
                       "Bloom two-writer over seqlock registers "
                       "(arbitrary-size values; readers retry during writes)",
                       2, 2, true),
-                 [](const register_args& a) -> std::unique_ptr<any_register> {
-                     using reg_t =
-                         two_writer_register<value_t, seqlock_register<value_t>>;
-                     auto reg = std::make_unique<reg_t>(a.initial);
-                     reg->set_external_log(a.log);
-                     return std::make_unique<
-                         bloom_any<value_t, seqlock_register<value_t>>>(
-                         std::move(reg));
+                 [](const register_args& a) {
+                     return make_bloom<value_t, seqlock_register<value_t>>(
+                         a.initial);
                  }});
 
     r.push_back({info("bloom/fourslot",
                       "Bloom two-writer over the depth-2 ladder: SWMR from "
                       "SWSR four-slot registers (footnote 3)",
                       2, 2, true),
-                 [](const register_args& a) -> std::unique_ptr<any_register> {
-                     using reg_t =
-                         two_writer_register<value_t, ported_substrate<value_t>>;
+                 [](const register_args& a) {
                      const std::size_t n = a.readers;
-                     auto reg = std::make_unique<reg_t>(
+                     return make_bloom<value_t, ported_substrate<value_t>>(
                          a.initial, [n](tagged<value_t> init, int reg_index) {
                              return ported_substrate<value_t>(init, n, reg_index);
                          });
-                     reg->set_external_log(a.log);
-                     return std::make_unique<
-                         bloom_any<value_t, ported_substrate<value_t>>>(
-                         std::move(reg));
                  }});
 
     {
@@ -993,15 +673,7 @@ std::vector<registry_entry> build_registry() {
                  2, 2, true);
         i.records_real_accesses = true;
         i.requires_log = true;
-        r.push_back({std::move(i),
-                     [](const register_args& a) -> std::unique_ptr<any_register> {
-                         using reg_t =
-                             two_writer_register<value_t, recording_register>;
-                         auto reg = std::make_unique<reg_t>(a.initial, a.log);
-                         return std::make_unique<
-                             bloom_any<value_t, recording_register>>(
-                             std::move(reg));
-                     }});
+        r.push_back({std::move(i), make_recording});
     }
 
     {
@@ -1019,15 +691,7 @@ std::vector<registry_entry> build_registry() {
         i.records_real_accesses = true;
         i.requires_log = true;
         i.expected_atomic = false;
-        r.push_back({std::move(i),
-                     [](const register_args& a) -> std::unique_ptr<any_register> {
-                         using reg_t =
-                             two_writer_register<value_t, recording_register>;
-                         auto reg = std::make_unique<reg_t>(a.initial, a.log);
-                         return std::make_unique<
-                             bloom_any<value_t, recording_register>>(
-                             std::move(reg));
-                     }});
+        r.push_back({std::move(i), make_recording});
     }
 
     r.push_back({info("faulty/seqlock",
@@ -1097,8 +761,7 @@ std::vector<registry_entry> build_registry() {
                       "over Simpson four-slot registers",
                       1, 1, true),
                  [](const register_args& a) -> std::unique_ptr<any_register> {
-                     return std::make_unique<swmr_any>(a.initial, a.readers,
-                                                       a.log);
+                     return std::make_unique<swmr_any>(a.initial, a.readers);
                  }});
 
     r.push_back({info("va/seqlock",
@@ -1106,8 +769,7 @@ std::vector<registry_entry> build_registry() {
                       "Section 8's way forward) over seqlock cells",
                       1, 16, true),
                  [](const register_args& a) -> std::unique_ptr<any_register> {
-                     return std::make_unique<va_any>(a.initial, a.writers,
-                                                     a.log);
+                     return std::make_unique<va_any>(a.initial, a.writers);
                  }});
 
     {
@@ -1119,8 +781,7 @@ std::vector<registry_entry> build_registry() {
         i.expected_atomic = false;
         r.push_back({std::move(i),
                      [](const register_args& a) -> std::unique_ptr<any_register> {
-                         return std::make_unique<tournament_any>(a.initial,
-                                                                 a.log);
+                         return std::make_unique<tournament_any>(a.initial);
                      }});
     }
 
@@ -1135,7 +796,7 @@ std::vector<registry_entry> build_registry() {
         i.records_real_accesses = true;
         r.push_back({std::move(i),
                      [](const register_args& a) -> std::unique_ptr<any_register> {
-                         return std::make_unique<abd_any>(a);
+                         return std::make_unique<net_any<net::abd_system>>(a);
                      }});
     }
 
@@ -1148,7 +809,7 @@ std::vector<registry_entry> build_registry() {
         i.records_real_accesses = true;
         r.push_back({std::move(i),
                      [](const register_args& a) -> std::unique_ptr<any_register> {
-                         return std::make_unique<abd_any>(a);
+                         return std::make_unique<net_any<net::abd_system>>(a);
                      }});
     }
 
@@ -1162,7 +823,8 @@ std::vector<registry_entry> build_registry() {
         i.records_real_accesses = true;
         r.push_back({std::move(i),
                      [](const register_args& a) -> std::unique_ptr<any_register> {
-                         return std::make_unique<twobit_any>(a);
+                         return std::make_unique<net_any<net::twobit_system>>(
+                             a);
                      }});
     }
 
@@ -1172,7 +834,7 @@ std::vector<registry_entry> build_registry() {
                       1, 16, false),
                  [](const register_args& a) -> std::unique_ptr<any_register> {
                      return std::make_unique<lock_any<mutex_register<value_t>>>(
-                         a.initial, a.log);
+                         a.initial);
                  }});
 
     r.push_back({info("baseline/rwlock",
@@ -1181,7 +843,7 @@ std::vector<registry_entry> build_registry() {
                       1, 16, false),
                  [](const register_args& a) -> std::unique_ptr<any_register> {
                      return std::make_unique<
-                         lock_any<rwlock_register<value_t>>>(a.initial, a.log);
+                         lock_any<rwlock_register<value_t>>>(a.initial);
                  }});
 
     r.push_back({info("baseline/native",
@@ -1189,7 +851,7 @@ std::vector<registry_entry> build_registry() {
                       "baseline)",
                       1, 16, true),
                  [](const register_args& a) -> std::unique_ptr<any_register> {
-                     return std::make_unique<native_any>(a.initial, a.log);
+                     return std::make_unique<native_any>(a.initial);
                  }});
 
     // Stamp each entry with its declared synchronization contract (the race
@@ -1251,8 +913,8 @@ std::unique_ptr<any_register> make_register(std::string_view name,
     if (e->info.requires_log && args.log == nullptr) {
         if (error != nullptr) {
             *error = e->info.name +
-                     " requires a gamma log (run with a recording collection "
-                     "mode)";
+                     " records real accesses into a shared gamma log; run it "
+                     "with collect=gamma";
         }
         return nullptr;
     }

@@ -7,7 +7,8 @@
 // ("bloom/packed", "baseline/mutex", ...) behind one type-erased interface.
 // The driver (driver.hpp), the benches, the examples, and the fuzzer all go
 // through this map, so opening a new register to every workload and checker
-// is one registry entry.
+// is one registry entry. Adapters never log simulated operations: the
+// driver records every invocation and response around the port call.
 //
 // Type erasure costs one virtual call per operation. That overhead is
 // uniform across every registered register, so relative comparisons stay
@@ -48,7 +49,9 @@ public:
 
     /// Read with an adversarial pause at the protocol's vulnerable point.
     /// Registers without an internal pacing point run the pause first and
-    /// then the whole operation (a processor that is slow to start).
+    /// then the whole operation (a processor that is slow to start); the
+    /// pause still falls inside the recorded operation under both
+    /// collectors, since the driver logs the invocation before the call.
     [[nodiscard]] virtual value_t read_paced(const pause_fn& pause) {
         pause();
         return read();
@@ -167,10 +170,10 @@ struct register_args {
     value_t initial{0};
     std::size_t writers{2};
     std::size_t readers{2};
-    /// Shared gamma log, or null for unrecorded runs. When non-null, the
-    /// instance (or its adapter) logs every simulated operation's
-    /// invocation/response into it; the recording substrate additionally
-    /// logs real-register accesses.
+    /// Shared gamma log, or null for unrecorded runs. The simulated
+    /// operations are the driver's to log; the instance appends only real
+    /// accesses (the recording substrate, the net/ replica observer) and
+    /// stamps the fault plan's first injection against it.
     event_log* log{nullptr};
     /// Substrate fault injection; the faulty/ and net/ families read it
     /// (other entries ignore an active spec -- the driver rejects that
