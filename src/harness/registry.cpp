@@ -61,15 +61,15 @@ T from_value(value_t v) {
 
 // ---------------------------------------------------------------- bloom/* --
 
-/// Whether a port_crash fault has killed a processor: never, outside the
-/// fault-plan-driven compositions...
+/// Whether a port_crash fault has killed a processor. Without a fault plan
+/// it never has.
 struct never_crashed {
     [[nodiscard]] bool operator()(processor_id) const noexcept { return false; }
 };
 
-/// ...and for the faulty/ and repair/ families, whatever the shared plan
-/// says. Their substrates already turn a dead processor's accesses into
-/// no-ops, so the port needs nothing else from the plan.
+/// The faulty/ and repair/ families ask their shared plan. Their substrates
+/// already turn a dead processor's accesses into no-ops, so a port needs
+/// nothing else from the plan.
 struct plan_crashed {
     const fault_plan* plan;
     [[nodiscard]] bool operator()(processor_id p) const noexcept {
