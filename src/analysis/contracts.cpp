@@ -47,17 +47,9 @@ constexpr site_contract fourslot_sites[] = {
     {"", "fence", "acquire,release", site_discipline::acq_rel},
 };
 
-constexpr site_contract recording_sites[] = {
-    // The spinlock serializing every access: classic acquire/release.
-    {"locked_", "exchange", "acquire", site_discipline::acq_rel},
-    {"locked_", "store", "release", site_discipline::acq_rel},
-};
-
 constexpr site_contract faulty_sites[] = {
-    // The fault plan's own spinlock plus the sticky crash flags (set with
-    // release so a crashed port's last write is visible to observers).
-    {"locked_", "exchange", "acquire", site_discipline::acq_rel},
-    {"locked_", "store", "release", site_discipline::acq_rel},
+    // The sticky crash flags, set with release so a crashed port's last
+    // write is visible to observers. The plan's lock is util/spinlock.hpp.
     {"crashed_", "load", "acquire", site_discipline::acq_rel},
     {"crashed_", "store", "relaxed,release", site_discipline::acq_rel},
 };
@@ -107,20 +99,23 @@ constexpr site_contract thread_log_sites[] = {
     {"done_", "store", "release", site_discipline::acq_rel},
 };
 
-constexpr site_contract net_bus_sites[] = {
-    // The composition-wide bus spinlock (net_lock): classic
-    // acquire/release. Every server handler and client phase runs under
-    // it, so message payloads and server state need no per-field ordering
-    // -- this one lock carries the whole net/ composition's visibility.
-    {"locked_", "exchange", "acquire", site_discipline::net_lock},
-    {"locked_", "store", "release", site_discipline::net_lock},
+constexpr site_contract spinlock_sites[] = {
+    // The repository's one lock (the bus's net_lock, the fault plan, the
+    // recording substrate): the acquiring exchange and the releasing store
+    // are the classic pair; the test-before-set poll is a relaxed read that
+    // only decides when to retry the exchange and orders nothing.
+    {"locked_", "exchange", "acquire", site_discipline::acq_rel},
+    {"locked_", "load", "relaxed", site_discipline::relaxed_stat},
+    {"locked_", "store", "release", site_discipline::acq_rel},
 };
 
 constexpr file_contract contracts[] = {
     {"packed_atomic.hpp", packed_atomic_sites},
     {"seqlock.hpp", seqlock_sites},
     {"fourslot.hpp", fourslot_sites},
-    {"recording.hpp", recording_sites},
+    // The recording substrate serializes every access with the shared
+    // spinlock and has no atomic call site of its own.
+    {"recording.hpp", {}},
     {"faulty.hpp", faulty_sites},
     {"instrumented.hpp", instrumented_sites},
     // plain.hpp is audited as having NO atomic call sites: it is the
@@ -133,12 +128,14 @@ constexpr file_contract contracts[] = {
     // register: their memory orders carry the recorded history's validity.
     {"event_log.hpp", event_log_sites, "histories"},
     {"thread_log.hpp", thread_log_sites, "histories"},
-    // The message bus under the net/ compositions: one spinlock, no other
-    // atomics anywhere in src/net. The protocol .cpp files are audited as
-    // zero-site lock regions: every replica/bus touch they make runs under
-    // the composition's net_lock, and any atomic call site appearing in
-    // them would bypass that discipline.
-    {"bus.hpp", net_bus_sites, "net"},
+    {"spinlock.hpp", spinlock_sites, "util"},
+    // The net/ compositions: no atomics anywhere in src/net. The bus and
+    // the protocol .cpp files are audited as zero-site lock regions: every
+    // replica/bus touch they make runs under the composition's net_lock
+    // (a util/spinlock.hpp lock, which carries the whole composition's
+    // visibility), and any atomic call site appearing in them would bypass
+    // that discipline.
+    {"bus.hpp", {}, "net"},
     {"abd.cpp", {}, "net"},
     {"twobit.cpp", {}, "net"},
 };
@@ -187,7 +184,6 @@ const char* site_discipline_name(site_discipline d) noexcept {
         case site_discipline::relaxed_stat: return "relaxed_stat";
         case site_discipline::acq_rel: return "acq_rel";
         case site_discipline::seqlock_phase: return "seqlock_phase";
-        case site_discipline::net_lock: return "net_lock";
         case site_discipline::guarded: return "guarded";
     }
     return "?";
@@ -199,7 +195,6 @@ sync_class discipline_sync_class(site_discipline d) noexcept {
         case site_discipline::relaxed_stat: return sync_class::relaxed;
         case site_discipline::acq_rel: return sync_class::sync;
         case site_discipline::seqlock_phase: return sync_class::sync;
-        case site_discipline::net_lock: return sync_class::lock_region;
         // Guarded sites are plain data to the happens-before detector;
         // their guard set only means something to the lockset detector.
         case site_discipline::guarded: return sync_class::plain;

@@ -50,7 +50,6 @@ enum class site_discipline : std::uint8_t {
     relaxed_stat,   ///< relaxed atomic statistics / non-synchronizing word
     acq_rel,        ///< release/acquire (or seq_cst) publication pair
     seqlock_phase,  ///< seqlock sequence word: phase parity + publication
-    net_lock,       ///< composition-wide lock region (bus spinlock)
     guarded,        ///< plain data covered by a declared handshake set
 };
 

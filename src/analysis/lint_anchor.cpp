@@ -22,6 +22,7 @@
 #include "util/bits.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/spinlock.hpp"
 #include "util/sync.hpp"
 #include "util/table.hpp"
 

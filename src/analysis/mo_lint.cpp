@@ -235,7 +235,6 @@ void check_discipline(const site_contract& row, std::string_view file,
             break;
         case site_discipline::acq_rel:
         case site_discipline::seqlock_phase:
-        case site_discipline::net_lock:
             if (!any_syncing) {
                 why = "synchronizing discipline allows no syncing order";
             }

@@ -23,8 +23,8 @@
 //
 // Blocking model: operations pump the bus until their quorum answers,
 // re-broadcasting after a silence threshold (loss recovery). Every bus and
-// server-state touch happens in slices under the composition's net_lock;
-// the optional `pause` hook runs UNLOCKED at the round boundary, which is
+// server-state touch happens under the composition's net_lock, held for
+// one whole quorum phase at a time; the optional `pause` hook runs UNLOCKED at the round boundary, which is
 // where the driver's seeded schedule interleaves other processors -- bus
 // stepping under the same deterministic regime as thread scheduling.
 #pragma once

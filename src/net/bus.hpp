@@ -13,13 +13,16 @@
 // schedule.
 //
 // Concurrency model: the bus itself is UNSYNCHRONIZED. One `net_lock`
-// spinlock per composition serializes every send/pump/handler slice
-// (handlers run inside pump_one, under the caller's lock, and may send).
-// This mirrors the fault plan's documented trade: the lock removes real
-// substrate-level races, which is acceptable because the net layer studies
-// protocol-level orderings (message interleavings), not data races -- and
-// it is what makes seeded runs byte-identical. Clients must NOT hold the
-// lock across blocking waits or adversarial pauses; they take it per slice.
+// (the shared util/spinlock.hpp lock) per composition serializes every
+// send/pump/handler step (handlers run inside pump_one, under the caller's
+// lock, and may send). This mirrors the fault plan's documented trade: the
+// lock removes real substrate-level races, which is acceptable because the
+// net layer studies protocol-level orderings (message interleavings), not
+// data races -- and it is what makes seeded runs byte-identical. A client
+// holds the lock for one whole quorum phase: run_phase broadcasts and pumps
+// until its quorum answers without releasing it (the phase needs no other
+// thread to finish, since it delivers every message itself). Clients must
+// NOT hold the lock across adversarial pauses; those run between phases.
 //
 // Fault seams (driver --fault, reusing fault_plan classes 1:1):
 //   lost_write          -> the delivered-to message is dropped instead
@@ -38,7 +41,6 @@
 // Each DELIVERY counts as one plan access (--fault-at = "the nth delivery").
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -46,30 +48,12 @@
 #include "net/messages.hpp"
 #include "registers/faulty.hpp"  // fault_plan
 #include "util/rng.hpp"
+#include "util/spinlock.hpp"
 
 namespace bloom87::net {
 
 /// The one lock serializing a net composition (see the header comment).
-/// Identical discipline to fault_plan's spinlock; declared in the memory-
-/// order lint contracts (analysis/contracts.cpp).
-class net_lock {
-public:
-    void lock() noexcept {
-        while (locked_.exchange(true, std::memory_order_acquire)) {}
-    }
-    void unlock() noexcept { locked_.store(false, std::memory_order_release); }
-
-    struct scoped {
-        explicit scoped(net_lock& l) noexcept : l_(l) { l_.lock(); }
-        ~scoped() { l_.unlock(); }
-        scoped(const scoped&) = delete;
-        scoped& operator=(const scoped&) = delete;
-        net_lock& l_;  // NOLINT(misc-non-private-member-variables-in-classes)
-    };
-
-private:
-    std::atomic<bool> locked_{false};
-};
+using net_lock = spinlock;
 
 /// Standing misbehavior knobs, independent of (and composable with) a
 /// fault_plan: tests drive these directly to bound loss/duplication rates.

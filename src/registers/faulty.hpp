@@ -34,6 +34,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -44,6 +45,7 @@
 #include "registers/concepts.hpp"
 #include "registers/tagged.hpp"
 #include "util/rng.hpp"
+#include "util/spinlock.hpp"
 
 namespace bloom87 {
 
@@ -163,18 +165,10 @@ public:
 
     [[nodiscard]] const fault_spec& spec() const noexcept { return spec_; }
 
-    void lock() noexcept {
-        while (locked_.exchange(true, std::memory_order_acquire)) {}
-    }
-    void unlock() noexcept { locked_.store(false, std::memory_order_release); }
+    void lock() noexcept { lock_.lock(); }
+    void unlock() noexcept { lock_.unlock(); }
 
-    struct scoped_lock {
-        explicit scoped_lock(fault_plan& p) noexcept : p_(p) { p_.lock(); }
-        ~scoped_lock() { p_.unlock(); }
-        scoped_lock(const scoped_lock&) = delete;
-        scoped_lock& operator=(const scoped_lock&) = delete;
-        fault_plan& p_;  // NOLINT(misc-non-private-member-variables-in-classes)
-    };
+    using scoped_lock = std::lock_guard<fault_plan>;
 
     /// Under the lock: counts this substrate access and decides whether it
     /// faults (spec.at exact trigger, else the probabilistic rate).
@@ -257,7 +251,7 @@ public:
 private:
     fault_spec spec_;
     const event_log* log_;
-    std::atomic<bool> locked_{false};
+    spinlock lock_;  ///< owns its cache line: off the crash flags' lines
     rng gen_;
     std::uint64_t accesses_{0};
     fault_counts counts_{};

@@ -17,15 +17,13 @@
 // packed_atomic_register / seqlock_register without recording.
 #pragma once
 
-#include <atomic>
 #include <cassert>
-#include <thread>
 
 #include "histories/event_log.hpp"
 #include "histories/events.hpp"
 #include "registers/concepts.hpp"
 #include "registers/tagged.hpp"
-#include "util/sync.hpp"
+#include "util/spinlock.hpp"
 
 namespace bloom87 {
 
@@ -43,7 +41,7 @@ public:
 
     /// Atomic read; logs a real_read event citing the observed write.
     [[nodiscard]] tagged<value_t> read(access_context ctx = {}) noexcept {
-        lock();
+        spinlock::scoped guard(lock_);
         const tagged<value_t> out{value_, tag_};
         event e;
         e.kind = event_kind::real_read;
@@ -54,13 +52,12 @@ public:
         e.value = value_;
         e.observed_write = last_write_pos_;
         log_->append(e);
-        unlock();
         return out;
     }
 
     /// Atomic write; logs a real_write event.
     void write(tagged<value_t> v, access_context ctx = {}) noexcept {
-        lock();
+        spinlock::scoped guard(lock_);
         event e;
         e.kind = event_kind::real_write;
         e.reg = reg_index_;
@@ -72,20 +69,12 @@ public:
         tag_ = v.tag;
         value_ = v.value;
         last_write_pos_ = pos;
-        unlock();
     }
 
 private:
-    void lock() noexcept {
-        while (locked_.exchange(true, std::memory_order_acquire)) {
-            std::this_thread::yield();
-        }
-    }
-    void unlock() noexcept { locked_.store(false, std::memory_order_release); }
-
+    spinlock lock_;  ///< first: owns line 0, the state below sits on line 1
     event_log* log_;
     const std::uint8_t reg_index_;
-    alignas(cacheline_size) std::atomic<bool> locked_{false};
     bool tag_;
     value_t value_;
     event_pos last_write_pos_{no_event};

@@ -293,6 +293,31 @@ TEST(MoLint, PlainHeaderDeclaresNoAtomicCallSites) {
         << findings[0].message;
 }
 
+TEST(MoLint, SpinlockWeakenedToRelaxedExchangeIsFlagged) {
+    // The shared spinlock's declared shape: acquiring exchange, relaxed
+    // test-before-set poll, releasing store.
+    const std::string_view poll =
+        "    while (locked_.load(std::memory_order_relaxed)) {}\n"
+        "}\n"
+        "locked_.store(false, std::memory_order_release);\n";
+    EXPECT_TRUE(lint_source("spinlock.hpp",
+                            "while (locked_.exchange(true, "
+                            "std::memory_order_acquire)) {\n" +
+                                std::string(poll))
+                    .empty());
+    // A relaxed exchange no longer acquires what the last holder released.
+    const auto findings = lint_source(
+        "spinlock.hpp",
+        "while (locked_.exchange(true, std::memory_order_relaxed)) {\n" +
+            std::string(poll));
+    ASSERT_EQ(findings.size(), 1u) << format_findings(findings);
+    EXPECT_EQ(findings[0].object, "locked_");
+    EXPECT_EQ(findings[0].op, "exchange");
+    EXPECT_EQ(findings[0].order, "relaxed");
+    EXPECT_NE(findings[0].message.find("WEAKENED"), std::string::npos)
+        << findings[0].message;
+}
+
 TEST(Contracts, RegistryClassesAndFileContractsResolve) {
     EXPECT_EQ(registry_sync_class("bloom/packed"), sync_class::sync);
     EXPECT_EQ(registry_sync_class("bloom/plain"), sync_class::plain);

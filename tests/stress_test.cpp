@@ -67,15 +67,17 @@ TEST(Stress, ManyReaderThreadsOnPackedSubstrate) {
     EXPECT_TRUE(checks.verdicts[0].pass) << checks.verdicts[0].diagnosis;
 }
 
-TEST(Stress, PacedContentionKeepsLemmasTrue) {
-    // Long paced run maximizing impotent writes; the linearizer revalidates
-    // Lemmas 1/2/4 on every one of them.
+/// Paced two-writer contention on the recording substrate: writers pause
+/// between their real read and their real write, which is where a write
+/// can turn impotent.
+run_spec paced_contention_spec(std::size_t ops_per_writer,
+                               std::size_t ops_per_reader) {
     run_spec spec;
     spec.register_name = "bloom/recording";
     spec.load.writers = 2;
     spec.load.readers = 1;
-    spec.load.ops_per_writer = 12000;
-    spec.load.ops_per_reader = 15000;
+    spec.load.ops_per_writer = ops_per_writer;
+    spec.load.ops_per_reader = ops_per_reader;
     spec.seed = 1234;
     spec.collect = collect_mode::gamma;
     spec.pace.writer_pace_num = 1;
@@ -83,16 +85,43 @@ TEST(Stress, PacedContentionKeepsLemmasTrue) {
     spec.pace.reader_pace_num = 1;
     spec.pace.reader_pace_den = 8;
     spec.pace.pause_yields = 512;
+    return spec;
+}
 
+/// Runs the spec and returns the constructive linearizer's verdict, which
+/// revalidates Lemmas 1/2/4 on every impotent write it classifies.
+check_verdict bloom_verdict(const run_spec& spec) {
     const run_result res = run(spec);
-    ASSERT_TRUE(res.ok) << res.error;
-    ASSERT_FALSE(res.log_overflowed);
-
+    EXPECT_TRUE(res.ok) << res.error;
+    EXPECT_FALSE(res.log_overflowed);
     const pipeline_result checks =
         run_checkers(res.events, 0, {checker_kind::bloom});
-    ASSERT_TRUE(checks.parsed) << checks.parse_error;
-    ASSERT_EQ(checks.verdicts.size(), 1u);
-    const check_verdict& v = checks.verdicts[0];
+    EXPECT_TRUE(checks.parsed) << checks.parse_error;
+    if (checks.verdicts.size() != 1) {
+        ADD_FAILURE() << "expected one verdict, got " << checks.verdicts.size();
+        return {};
+    }
+    return checks.verdicts[0];
+}
+
+TEST(Stress, PacedContentionKeepsLemmasTrue) {
+    // Long paced run on real threads; the linearizer revalidates Lemmas
+    // 1/2/4 on every impotent write it finds. How many it finds depends on
+    // the OS actually overlapping the writers (a loaded machine may run
+    // them one after the other), so the count is pinned on the seeded
+    // schedule below.
+    const check_verdict v = bloom_verdict(paced_contention_spec(12000, 15000));
+    ASSERT_TRUE(v.ran) << v.skip_reason;
+    EXPECT_TRUE(v.pass) << v.diagnosis;
+}
+
+TEST(Stress, SeededPacedContentionProducesImpotentWrites) {
+    // The same register and pacing on the seeded schedule: the harness
+    // picks the interleaving, so the writers' overlap does not depend on
+    // machine load.
+    run_spec spec = paced_contention_spec(2000, 2500);
+    spec.schedule = schedule_mode::seeded;
+    const check_verdict v = bloom_verdict(spec);
     ASSERT_TRUE(v.ran) << v.skip_reason;
     EXPECT_TRUE(v.pass) << v.diagnosis;
     EXPECT_GT(v.impotent_writes, 0u);

@@ -1,13 +1,18 @@
 // Tests for src/util: rng determinism and uniformity sanity, bit packing,
-// table formatting, synchronization helpers.
+// table formatting, synchronization helpers, the shared spinlock.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <new>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "registers/faulty.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
+#include "util/spinlock.hpp"
 #include "util/sync.hpp"
 #include "util/table.hpp"
 
@@ -155,6 +160,72 @@ TEST(Sync, StartGateReleasesWaiters) {
     gate.open();
     for (auto& th : pool) th.join();
     EXPECT_EQ(released.load(), 3);
+}
+
+// The lock fills exactly one cache line, so nothing it is embedded beside
+// can share the line its waiters poll.
+static_assert(alignof(spinlock) == cacheline_size);
+static_assert(sizeof(spinlock) == cacheline_size);
+
+TEST(Spinlock, SerializesPlainIncrements) {
+    // A plain (non-atomic) counter: any lost update under the lock would
+    // show as a short total, and TSan flags the race if the lock's
+    // acquire/release pair were broken.
+    constexpr int threads = 4, per_thread = 20000;
+    spinlock lock;
+    std::uint64_t counter = 0;
+    start_gate gate;
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&] {
+            gate.wait();
+            for (int i = 0; i < per_thread; ++i) {
+                spinlock::scoped guard(lock);
+                ++counter;
+            }
+        });
+    }
+    gate.open();
+    for (auto& th : pool) th.join();
+    EXPECT_EQ(counter, std::uint64_t{threads} * per_thread);
+}
+
+TEST(Spinlock, FaultPlanCrashFlagsSitOffTheLockLine) {
+    // The driver polls the crash flags lock-free on every step, so they
+    // must not share the plan lock's line. Locate both from the object's
+    // bytes: taking the lock flips exactly one byte (the lock word), and
+    // crashing every port flips one byte per crash flag.
+    using bytes = std::array<unsigned char, sizeof(fault_plan)>;
+    alignas(fault_plan) bytes storage{};
+    const auto snapshot = [&] {
+        bytes b{};
+        std::memcpy(b.data(), storage.data(), b.size());
+        return b;
+    };
+    const auto changed = [](const bytes& a, const bytes& b) {
+        std::vector<std::size_t> at;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            if (a[i] != b[i]) at.push_back(i);
+        }
+        return at;
+    };
+    auto* plan = new (storage.data()) fault_plan(fault_spec{});
+    const bytes idle = snapshot();
+    plan->lock();
+    const bytes held = snapshot();
+    plan->unlock();
+    const std::vector<std::size_t> lock_bytes = changed(idle, held);
+    ASSERT_EQ(lock_bytes.size(), 1u);
+    const std::size_t lock_line = lock_bytes[0] / cacheline_size;
+
+    for (processor_id p = 0; p < 64; ++p) plan->crash_port(p);
+    const std::vector<std::size_t> flag_bytes = changed(idle, snapshot());
+    EXPECT_EQ(flag_bytes.size(), 64u);
+    for (const std::size_t at : flag_bytes) {
+        EXPECT_NE(at / cacheline_size, lock_line) << "crash flag byte " << at;
+    }
+    for (processor_id p = 0; p < 64; ++p) EXPECT_TRUE(plan->crashed(p));
+    plan->~fault_plan();
 }
 
 }  // namespace
